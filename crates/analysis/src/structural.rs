@@ -5,7 +5,7 @@
 //! emitted diagnostics, and never touches the solver.
 
 use crate::diagnostic::{LintCode, Sink};
-use casekit_core::{Argument, EdgeKind, NodeIdx, NodeKind};
+use casekit_core::{Argument, EdgeKind, NodeId, NodeIdx, NodeKind};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Runs every structural pass.
@@ -65,82 +65,21 @@ fn unreachable_nodes(argument: &Argument, sink: &mut Sink<'_>) {
 
 /// CK002: strongly connected components of size ≥ 2 in the SupportedBy
 /// subgraph (self-loops are rejected at build time). One diagnostic per
-/// component, anchored at its smallest node id. Iterative Tarjan —
-/// O(V+E), no recursion.
+/// component, anchored at its smallest node id. O(V+E), no recursion.
 fn support_cycles(argument: &Argument, sink: &mut Sink<'_>) {
-    const UNVISITED: usize = usize::MAX;
-    let n = argument.len();
-    let mut index = vec![UNVISITED; n];
-    let mut low = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<NodeIdx> = Vec::new();
-    let mut next_index = 0usize;
-    let mut components: Vec<Vec<NodeIdx>> = Vec::new();
-
-    // DFS frames: (node, support children, position of next child).
-    let mut frames: Vec<(NodeIdx, Vec<NodeIdx>, usize)> = Vec::new();
-    for start in argument.node_indices() {
-        if index[start.index()] != UNVISITED {
-            continue;
-        }
-        index[start.index()] = next_index;
-        low[start.index()] = next_index;
-        next_index += 1;
-        stack.push(start);
-        on_stack[start.index()] = true;
-        let children: Vec<NodeIdx> = argument
-            .children_idx(start, EdgeKind::SupportedBy)
-            .collect();
-        frames.push((start, children, 0));
-        while let Some(frame) = frames.last_mut() {
-            let (v, children, pos) = (frame.0, &frame.1, frame.2);
-            if pos < children.len() {
-                let w = children[pos];
-                frame.2 += 1;
-                if index[w.index()] == UNVISITED {
-                    index[w.index()] = next_index;
-                    low[w.index()] = next_index;
-                    next_index += 1;
-                    stack.push(w);
-                    on_stack[w.index()] = true;
-                    let grandchildren: Vec<NodeIdx> =
-                        argument.children_idx(w, EdgeKind::SupportedBy).collect();
-                    frames.push((w, grandchildren, 0));
-                } else if on_stack[w.index()] {
-                    low[v.index()] = low[v.index()].min(index[w.index()]);
-                }
-            } else {
-                frames.pop();
-                if let Some(parent) = frames.last() {
-                    let p = parent.0;
-                    low[p.index()] = low[p.index()].min(low[v.index()]);
-                }
-                if low[v.index()] == index[v.index()] {
-                    let mut component = Vec::new();
-                    while let Some(w) = stack.pop() {
-                        on_stack[w.index()] = false;
-                        component.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    if component.len() > 1 {
-                        components.push(component);
-                    }
-                }
-            }
-        }
-    }
-
-    for component in &mut components {
-        component.sort_by(|a, b| argument.id_at(*a).cmp(argument.id_at(*b)));
-    }
-    components.sort_by(|a, b| argument.id_at(a[0]).cmp(argument.id_at(b[0])));
-    for component in components {
-        let ids: Vec<_> = component
-            .iter()
-            .map(|idx| argument.id_at(*idx).clone())
-            .collect();
+    let components = argument.support_components();
+    let nodes = argument.arena();
+    let mut cycles: Vec<Vec<NodeId>> = (0..components.rows())
+        .map(|c| components.row(c))
+        .filter(|members| members.len() > 1)
+        .map(|members| {
+            let mut ids: Vec<NodeId> = members.iter().map(|&v| nodes[v].id.clone()).collect();
+            ids.sort();
+            ids
+        })
+        .collect();
+    cycles.sort();
+    for ids in cycles {
         sink.emit(
             LintCode::SupportCycle,
             Some(ids[0].clone()),

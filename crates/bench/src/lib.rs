@@ -35,8 +35,12 @@ pub(crate) fn best_of_ms<R>(runs: usize, mut f: impl FnMut() -> R) -> (f64, R) {
     let mut result = None;
     for _ in 0..runs {
         let start = std::time::Instant::now();
-        result = Some(f());
+        let run = f();
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
+        // Dropping the previous run's result stays outside the timed
+        // window: for sharded arms it frees thousands of values
+        // allocated on other threads.
+        result = Some(run);
     }
     (best, result.expect("runs > 0"))
 }
@@ -342,5 +346,27 @@ mod tests {
     fn experiment_sections_render() {
         assert!(experiment_b().contains("Experiment B"));
         assert!(experiment_d().contains("Experiment D"));
+    }
+
+    #[test]
+    fn best_of_ms_times_only_the_closure() {
+        // Only the first call is slow; every result is slow to drop. A
+        // clock that also covered dropping the previous result would make
+        // every later run slower than the first.
+        struct SlowDrop;
+        impl Drop for SlowDrop {
+            fn drop(&mut self) {
+                std::thread::sleep(std::time::Duration::from_millis(120));
+            }
+        }
+        let mut calls = 0;
+        let (best, _) = best_of_ms(3, || {
+            calls += 1;
+            if calls == 1 {
+                std::thread::sleep(std::time::Duration::from_millis(60));
+            }
+            SlowDrop
+        });
+        assert!(best < 30.0, "best run took {best} ms");
     }
 }

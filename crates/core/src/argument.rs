@@ -6,11 +6,15 @@
 //! addressed by [`NodeIdx`] (a `u32` newtype); an interner maps each
 //! textual [`NodeId`] to its index; and two CSR (compressed sparse row)
 //! adjacency tables — outgoing and incoming — are built once at
-//! construction. Every traversal primitive ([`Argument::children`],
-//! [`Argument::parents`], [`Argument::reachable_from`], topological and
-//! cycle checks) walks only the relevant adjacency rows, so the cost is
-//! O(degree) per node or O(V+E) per whole-graph pass — never a scan of
-//! the full edge list.
+//! construction by the workspace's graph kernel
+//! ([`casekit_logic::graph::Csr`]). Every traversal primitive
+//! ([`Argument::children`], [`Argument::parents`],
+//! [`Argument::reachable_from`]) walks only the relevant adjacency rows,
+//! so the cost is O(degree) per node or O(V+E) per whole-graph pass —
+//! never a scan of the full edge list. Cycle checks and support-depth
+//! walks run on the kernel's iterative SCC pass
+//! ([`Argument::support_components`]), so no walk recurses on the call
+//! stack.
 //!
 //! Two API planes are exposed:
 //!
@@ -29,6 +33,7 @@
 //! is what lets the adjacency structure be built exactly once.
 
 use crate::node::{EdgeKind, Node, NodeId, NodeKind};
+use casekit_logic::graph::{self, Csr};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -87,7 +92,7 @@ pub struct NodeIdx(u32);
 
 impl NodeIdx {
     #[inline]
-    fn new(index: usize) -> Self {
+    pub(crate) fn new(index: usize) -> Self {
         NodeIdx(index as u32)
     }
 
@@ -106,60 +111,6 @@ impl NodeIdx {
 struct AdjEntry {
     other: NodeIdx,
     kind: EdgeKind,
-}
-
-/// Compressed sparse row adjacency: `entries[offsets[i]..offsets[i+1]]`
-/// are node `i`'s neighbours, in edge-insertion order.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    offsets: Vec<u32>,
-    entries: Vec<AdjEntry>,
-}
-
-impl Csr {
-    #[inline]
-    fn row(&self, idx: NodeIdx) -> &[AdjEntry] {
-        let start = self.offsets[idx.index()] as usize;
-        let end = self.offsets[idx.index() + 1] as usize;
-        &self.entries[start..end]
-    }
-
-    /// Builds a CSR table with a counting pass then a placement pass
-    /// (O(V+E), no per-row allocation).
-    fn build(
-        node_count: usize,
-        edges: &[Edge],
-        endpoints: &[(NodeIdx, NodeIdx)],
-        incoming: bool,
-    ) -> Csr {
-        let mut counts = vec![0u32; node_count + 1];
-        for &(from, to) in endpoints {
-            let key = if incoming { to } else { from };
-            counts[key.index() + 1] += 1;
-        }
-        for i in 1..counts.len() {
-            counts[i] += counts[i - 1];
-        }
-        let offsets = counts.clone();
-        let mut cursor = counts;
-        let mut entries = vec![
-            AdjEntry {
-                other: NodeIdx(0),
-                kind: EdgeKind::SupportedBy
-            };
-            edges.len()
-        ];
-        for (&(from, to), edge) in endpoints.iter().zip(edges) {
-            let (key, other) = if incoming { (to, from) } else { (from, to) };
-            let slot = cursor[key.index()] as usize;
-            cursor[key.index()] += 1;
-            entries[slot] = AdjEntry {
-                other,
-                kind: edge.kind,
-            };
-        }
-        Csr { offsets, entries }
-    }
 }
 
 /// An assurance argument: a named directed graph of [`Node`]s.
@@ -186,9 +137,9 @@ pub struct Argument {
     /// Edge endpoints resolved to arena indices, parallel to `edges`.
     endpoints: Vec<(NodeIdx, NodeIdx)>,
     /// Outgoing adjacency.
-    out: Csr,
+    out: Csr<AdjEntry>,
     /// Incoming adjacency.
-    inc: Csr,
+    inc: Csr<AdjEntry>,
 }
 
 impl Argument {
@@ -273,8 +224,19 @@ impl Argument {
     ) -> Argument {
         let mut sorted: Vec<NodeIdx> = (0..nodes.len()).map(NodeIdx::new).collect();
         sorted.sort_by(|a, b| nodes[a.index()].id.cmp(&nodes[b.index()].id));
-        let out = Csr::build(nodes.len(), &edges, &endpoints, false);
-        let inc = Csr::build(nodes.len(), &edges, &endpoints, true);
+        let adjacency = |incoming: bool| {
+            let pairs = endpoints
+                .iter()
+                .zip(&edges)
+                .map(move |(&(from, to), edge)| {
+                    let (row, other) = if incoming { (to, from) } else { (from, to) };
+                    let kind = edge.kind;
+                    (row.index(), AdjEntry { other, kind })
+                });
+            Csr::from_pairs(nodes.len(), pairs)
+        };
+        let out = adjacency(false);
+        let inc = adjacency(true);
         Argument {
             name,
             nodes,
@@ -349,7 +311,7 @@ impl Argument {
     #[inline]
     pub fn children_idx(&self, idx: NodeIdx, kind: EdgeKind) -> impl Iterator<Item = NodeIdx> + '_ {
         self.out
-            .row(idx)
+            .row(idx.index())
             .iter()
             .filter(move |entry| entry.kind == kind)
             .map(|entry| entry.other)
@@ -358,13 +320,13 @@ impl Argument {
     /// All children of `idx` regardless of edge kind. O(degree).
     #[inline]
     pub fn all_children_idx(&self, idx: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.out.row(idx).iter().map(|entry| entry.other)
+        self.out.row(idx.index()).iter().map(|entry| entry.other)
     }
 
     /// Parents of `idx` (nodes with an edge into `idx`). O(degree).
     #[inline]
     pub fn parents_idx(&self, idx: NodeIdx) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.inc.row(idx).iter().map(|entry| entry.other)
+        self.inc.row(idx.index()).iter().map(|entry| entry.other)
     }
 
     /// Parents of `idx` along edges of `kind`. O(degree).
@@ -375,7 +337,7 @@ impl Argument {
         kind: EdgeKind,
     ) -> impl Iterator<Item = NodeIdx> + '_ {
         self.inc
-            .row(idx)
+            .row(idx.index())
             .iter()
             .filter(move |entry| entry.kind == kind)
             .map(|entry| entry.other)
@@ -384,19 +346,22 @@ impl Argument {
     /// Number of outgoing edges of `idx`. O(1).
     #[inline]
     pub fn out_degree(&self, idx: NodeIdx) -> usize {
-        self.out.row(idx).len()
+        self.out.row(idx.index()).len()
     }
 
     /// Number of incoming edges of `idx`. O(1).
     #[inline]
     pub fn in_degree(&self, idx: NodeIdx) -> usize {
-        self.inc.row(idx).len()
+        self.inc.row(idx.index()).len()
     }
 
     /// Whether `idx` has an outgoing edge of `kind`. O(degree).
     #[inline]
     pub fn has_children_idx(&self, idx: NodeIdx, kind: EdgeKind) -> bool {
-        self.out.row(idx).iter().any(|entry| entry.kind == kind)
+        self.out
+            .row(idx.index())
+            .iter()
+            .any(|entry| entry.kind == kind)
     }
 
     /// Edges with endpoints resolved to arena indices, in insertion
@@ -429,7 +394,7 @@ impl Argument {
         queue.push_back(start);
         let mut out = Vec::new();
         while let Some(current) = queue.pop_front() {
-            for entry in self.out.row(current) {
+            for entry in self.out.row(current.index()) {
                 if !seen[entry.other.index()] {
                     seen[entry.other.index()] = true;
                     out.push(entry.other);
@@ -521,68 +486,44 @@ impl Argument {
         }
     }
 
-    /// Whether the `SupportedBy` subgraph is acyclic. O(V+E) (Kahn's
-    /// algorithm over the CSR rows).
+    /// Strongly connected components of the `SupportedBy` subgraph: row
+    /// `c` lists the arena positions ([`NodeIdx::index`]) of component
+    /// `c`. Components are numbered parents-first: every support edge
+    /// stays inside a component or goes to a higher-numbered one, so
+    /// walking the rows in descending order visits every support child
+    /// before its parents. O(V+E), iterative.
+    pub fn support_components(&self) -> Csr<usize> {
+        graph::scc(&self.out, |entry| {
+            (entry.kind == EdgeKind::SupportedBy).then_some(entry.other.index())
+        })
+    }
+
+    /// Whether the `SupportedBy` subgraph is acyclic: every support
+    /// component is a single node (self-loops are rejected at build
+    /// time). O(V+E).
     pub fn is_acyclic(&self) -> bool {
-        let mut indegree = vec![0u32; self.nodes.len()];
-        for entry in &self.out.entries {
-            if entry.kind == EdgeKind::SupportedBy {
-                indegree[entry.other.index()] += 1;
-            }
-        }
-        let mut queue: std::collections::VecDeque<NodeIdx> = self
-            .node_indices()
-            .filter(|idx| indegree[idx.index()] == 0)
-            .collect();
-        let mut visited = 0usize;
-        while let Some(idx) = queue.pop_front() {
-            visited += 1;
-            for entry in self.out.row(idx) {
-                if entry.kind == EdgeKind::SupportedBy {
-                    indegree[entry.other.index()] -= 1;
-                    if indegree[entry.other.index()] == 0 {
-                        queue.push_back(entry.other);
-                    }
-                }
-            }
-        }
-        visited == self.nodes.len()
+        self.support_components().rows() == self.nodes.len()
     }
 
     /// Depth of the support tree from `id` (a leaf has depth 1).
     ///
     /// Returns `None` when the support graph below `id` has a cycle.
-    /// Memoised per call, so shared subtrees are traversed once and a
-    /// single call is O(V+E) even on DAGs (the memo does not persist
-    /// across calls).
+    /// O(V+E) and iterative, so arbitrarily deep chains are safe.
     pub fn support_depth(&self, id: &NodeId) -> Option<usize> {
-        let idx = self.node_idx(id)?;
-        let mut memo = vec![DepthState::Unvisited; self.nodes.len()];
-        self.depth_rec(idx, &mut memo)
-    }
-
-    fn depth_rec(&self, idx: NodeIdx, memo: &mut [DepthState]) -> Option<usize> {
-        match memo[idx.index()] {
-            DepthState::Done(depth) => return Some(depth),
-            DepthState::OnPath => return None, // cycle
-            DepthState::Unvisited => {}
-        }
-        memo[idx.index()] = DepthState::OnPath;
-        let mut best = 0usize;
-        let mut is_leaf = true;
-        for entry in self.out.row(idx) {
-            if entry.kind != EdgeKind::SupportedBy {
+        let target = self.node_idx(id)?;
+        let components = self.support_components();
+        // `None` marks a node on or above a support cycle.
+        let mut depth: Vec<Option<usize>> = vec![None; self.nodes.len()];
+        for c in (0..components.rows()).rev() {
+            let &[node] = components.row(c) else {
                 continue;
-            }
-            is_leaf = false;
-            match self.depth_rec(entry.other, memo) {
-                Some(depth) => best = best.max(depth),
-                None => return None,
-            }
+            };
+            depth[node] = self
+                .children_idx(NodeIdx::new(node), EdgeKind::SupportedBy)
+                .try_fold(0, |best, child| Some(best.max(depth[child.index()]?)))
+                .map(|best| best + 1);
         }
-        let depth = if is_leaf { 1 } else { best + 1 };
-        memo[idx.index()] = DepthState::Done(depth);
-        Some(depth)
+        depth[target.index()]
     }
 
     /// Nodes of a given kind, in id order.
@@ -607,13 +548,6 @@ impl Argument {
     pub fn node_at_mut(&mut self, idx: NodeIdx) -> &mut Node {
         &mut self.nodes[idx.index()]
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum DepthState {
-    Unvisited,
-    OnPath,
-    Done(usize),
 }
 
 /// Equality is structural and insertion-order-independent for nodes

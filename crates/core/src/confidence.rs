@@ -125,23 +125,33 @@ pub fn propagate(
     aggregation: Aggregation,
 ) -> Result<Assessment, ConfidenceError> {
     validate(argument, leaf_confidence, default_leaf, step_weight)?;
-    // Memoise over the arena (indexed, allocation-free lookups), then
-    // key the public assessment by id.
-    let mut memo: Vec<Option<f64>> = vec![None; argument.len()];
-    for idx in argument.node_indices() {
-        compute(
-            argument,
-            idx,
-            leaf_confidence,
-            default_leaf,
-            step_weight,
-            aggregation,
-            &mut memo,
-        );
+    // The support graph is acyclic, so every support component is one
+    // node and the descending walk reaches each child before its
+    // parents. Values are indexed by arena position, then keyed by id.
+    let components = argument.support_components();
+    let mut memo = vec![0.0; argument.len()];
+    for c in (0..components.rows()).rev() {
+        let idx = NodeIdx::new(components.row(c)[0]);
+        let mut children = argument
+            .children_idx(idx, EdgeKind::SupportedBy)
+            .map(|child| memo[child.index()])
+            .peekable();
+        memo[idx.index()] = if children.peek().is_none() {
+            leaf_confidence
+                .get(argument.id_at(idx))
+                .copied()
+                .unwrap_or(default_leaf)
+        } else {
+            let combined = match aggregation {
+                Aggregation::NoisyAnd => children.product::<f64>(),
+                Aggregation::WeakestLink => children.fold(f64::INFINITY, f64::min),
+            };
+            combined * step_weight
+        };
     }
     let values = argument
         .node_indices()
-        .filter_map(|idx| memo[idx.index()].map(|v| (argument.id_at(idx).clone(), v)))
+        .map(|idx| (argument.id_at(idx).clone(), memo[idx.index()]))
         .collect();
     Ok(Assessment { values })
 }
@@ -176,49 +186,6 @@ fn validate(
         }
     }
     Ok(())
-}
-
-fn compute(
-    argument: &Argument,
-    idx: NodeIdx,
-    leaf_confidence: &BTreeMap<NodeId, f64>,
-    default_leaf: f64,
-    step_weight: f64,
-    aggregation: Aggregation,
-    memo: &mut Vec<Option<f64>>,
-) -> f64 {
-    if let Some(v) = memo[idx.index()] {
-        return v;
-    }
-    let children: Vec<NodeIdx> = argument.children_idx(idx, EdgeKind::SupportedBy).collect();
-    let value = if children.is_empty() {
-        leaf_confidence
-            .get(argument.id_at(idx))
-            .copied()
-            .unwrap_or(default_leaf)
-    } else {
-        let child_values: Vec<f64> = children
-            .into_iter()
-            .map(|c| {
-                compute(
-                    argument,
-                    c,
-                    leaf_confidence,
-                    default_leaf,
-                    step_weight,
-                    aggregation,
-                    memo,
-                )
-            })
-            .collect();
-        let combined = match aggregation {
-            Aggregation::NoisyAnd => child_values.iter().product::<f64>(),
-            Aggregation::WeakestLink => child_values.iter().copied().fold(f64::INFINITY, f64::min),
-        };
-        combined * step_weight
-    };
-    memo[idx.index()] = Some(value);
-    value
 }
 
 /// The *impact* of a leaf on the root: root confidence with the leaf at
@@ -449,6 +416,38 @@ mod tests {
             ),
             Ok(None)
         );
+    }
+
+    #[test]
+    fn deep_support_chain_fits_a_worker_stack() {
+        // 100k nodes on the 2 MiB stack runtime workers get: no support
+        // walk may recurse per node.
+        const N: usize = 100_000;
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                use crate::node::NodeKind;
+                let mut builder = Argument::builder("chain");
+                for i in 0..N {
+                    builder = builder.add(&format!("g{i}"), NodeKind::Goal, "step");
+                }
+                for i in 1..N {
+                    builder = builder.supported_by(&format!("g{}", i - 1), &format!("g{i}"));
+                }
+                let a = builder.build().unwrap();
+                let root = NodeId::new("g0");
+                let leaf = NodeId::new(format!("g{}", N - 1));
+                assert!(a.is_acyclic());
+                assert_eq!(a.support_depth(&root), Some(N));
+                let assess = propagate(&a, &BTreeMap::new(), 0.5, 1.0, Aggregation::NoisyAnd);
+                assert_eq!(assess.unwrap().confidence(&root), Some(0.5));
+                let impact =
+                    leaf_impact(&a, &BTreeMap::new(), 0.5, 1.0, Aggregation::NoisyAnd, &leaf);
+                assert_eq!(impact, Ok(Some(0.5)));
+            })
+            .expect("spawn test thread")
+            .join()
+            .expect("deep chain walks finish");
     }
 
     #[test]

@@ -19,9 +19,10 @@
 //!
 //! * **Name plane** — [`Framework`] stores labels and the attack
 //!   relation; [`Deliberation`] runs the dialogue game on top.
-//! * **Index plane** — [`Framework::adjacency`] builds a CSR
-//!   attacker/attacked adjacency once (the `casekit-core` arena
-//!   discipline), which powers an O(V+E) [grounded
+//! * **Index plane** — [`Framework::adjacency`] builds the attacker and
+//!   target rows once, as two [`crate::graph::Csr`] tables from the
+//!   same kernel that lays out `casekit-core`'s argument graph. They
+//!   power an O(V+E) [grounded
 //!   fixpoint](Framework::grounded_extension); [`encode::AfSat`]
 //!   compiles the framework into packed-literal clauses for the CDCL
 //!   [`Solver`](crate::prop::Solver) — the in/out/undec *labelling*
@@ -41,10 +42,11 @@
 //!
 //! Above [`scc::DECOMPOSITION_THRESHOLD`] arguments the semantics
 //! methods route through [`scc::Decomposed`]: the attack graph is
-//! condensed into strongly connected components (iterative Tarjan),
-//! the condensation is walked in topological order, singleton
-//! components are resolved by direct label propagation with no SAT
-//! call, and only non-trivial components are compiled into small
+//! condensed into strongly connected components by the shared
+//! iterative Tarjan pass ([`crate::graph::scc`]), the condensation is
+//! walked in topological order, singleton components are resolved by
+//! direct label propagation with no SAT call, and only non-trivial
+//! components are compiled into small
 //! per-component SAT encodings with upstream labels baked in as unit
 //! clauses. Independent components at the same topological depth are
 //! farmed across the `casekit-runtime` work farm. This is what carries
@@ -61,6 +63,7 @@ pub mod naive;
 pub mod scc;
 
 use crate::error::LogicError;
+use crate::graph::Csr;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -166,37 +169,15 @@ impl Framework {
     }
 
     /// Builds the CSR attacker/attacked adjacency: both directions of
-    /// the attack relation in flat arrays, indexable in O(1) per
+    /// the attack relation as [`Csr`] tables, indexable in O(1) per
     /// argument. Build once per computation, O(V+E).
     pub fn adjacency(&self) -> Adjacency {
         let n = self.labels.len();
-        let mut att_start = vec![0usize; n + 1];
-        let mut tgt_start = vec![0usize; n + 1];
-        for &(a, t) in &self.attacks {
-            att_start[t + 1] += 1;
-            tgt_start[a + 1] += 1;
-        }
-        for i in 0..n {
-            att_start[i + 1] += att_start[i];
-            tgt_start[i + 1] += tgt_start[i];
-        }
-        let mut att_flat = vec![0 as ArgId; self.attacks.len()];
-        let mut tgt_flat = vec![0 as ArgId; self.attacks.len()];
-        let mut att_cursor = att_start.clone();
-        let mut tgt_cursor = tgt_start.clone();
-        // The set iterates sorted by (attacker, target), so both flat
-        // arrays come out sorted within each argument's slice.
-        for &(a, t) in &self.attacks {
-            att_flat[att_cursor[t]] = a;
-            att_cursor[t] += 1;
-            tgt_flat[tgt_cursor[a]] = t;
-            tgt_cursor[a] += 1;
-        }
+        // The set iterates sorted by (attacker, target), and the CSR
+        // builder keeps that order, so every row comes out ascending.
         Adjacency {
-            att_start,
-            att_flat,
-            tgt_start,
-            tgt_flat,
+            attackers: Csr::from_pairs(n, self.attacks.iter().map(|&(a, t)| (t, a))),
+            targets: Csr::from_pairs(n, self.attacks.iter().copied()),
         }
     }
 
@@ -329,33 +310,31 @@ impl Framework {
 /// by [`Framework::adjacency`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Adjacency {
-    /// `att_flat[att_start[t]..att_start[t + 1]]` attack `t`.
-    att_start: Vec<usize>,
-    att_flat: Vec<ArgId>,
-    /// `tgt_flat[tgt_start[a]..tgt_start[a + 1]]` are attacked by `a`.
-    tgt_start: Vec<usize>,
-    tgt_flat: Vec<ArgId>,
+    /// Row `t` lists the attackers of `t`.
+    attackers: Csr<ArgId>,
+    /// Row `a` lists the arguments `a` attacks.
+    targets: Csr<ArgId>,
 }
 
 impl Adjacency {
     /// Number of arguments.
     pub fn num_args(&self) -> usize {
-        self.att_start.len() - 1
+        self.attackers.rows()
     }
 
     /// Number of attacks.
     pub fn num_attacks(&self) -> usize {
-        self.att_flat.len()
+        self.attackers.num_entries()
     }
 
     /// The attackers of `target`, sorted ascending.
     pub fn attackers(&self, target: ArgId) -> &[ArgId] {
-        &self.att_flat[self.att_start[target]..self.att_start[target + 1]]
+        self.attackers.row(target)
     }
 
     /// The arguments `attacker` attacks, sorted ascending.
     pub fn targets(&self, attacker: ArgId) -> &[ArgId] {
-        &self.tgt_flat[self.tgt_start[attacker]..self.tgt_start[attacker + 1]]
+        self.targets.row(attacker)
     }
 
     /// The grounded labelling in O(V+E): a worklist of accepted

@@ -16,14 +16,15 @@
 //!
 //! # The pipeline
 //!
-//! 1. **Condense** ([`Condensation::build`]) — an iterative
-//!    (non-recursive, stack-safe at 10^5 nodes) Tarjan pass over the
-//!    CSR [`Adjacency`] groups arguments into components, renumbers
-//!    them so *attackers come first* (every attack edge goes from a
-//!    lower-numbered component to a higher one, or stays inside one),
-//!    and assigns each component its longest-path *depth*. Components
-//!    at the same depth have no edges between them, so they are
-//!    independent given all shallower labels.
+//! 1. **Condense** ([`Condensation::build`]) — the workspace's graph
+//!    kernel ([`crate::graph::scc`], iterative and stack-safe at 10^5
+//!    nodes) groups the arguments of the CSR [`Adjacency`] into
+//!    components numbered so *attackers come first* (every attack edge
+//!    goes from a lower-numbered component to a higher one, or stays
+//!    inside one); the condensation then assigns each component its
+//!    longest-path *depth* and groups the components by depth.
+//!    Components at the same depth have no edges between them, so they
+//!    are independent given all shallower labels.
 //! 2. **Walk depth by depth** ([`Decomposed`]) — the engine carries a
 //!    set of *branches* (partial labellings of everything at shallower
 //!    depths; one branch per distinct way the semantics could have
@@ -69,6 +70,7 @@
 //! `repro af` measures the speedup into `BENCH_af.json`).
 
 use super::{Adjacency, ArgId, Framework, Label};
+use crate::graph::{self, Csr};
 use crate::prop::intern::Lit;
 use crate::prop::solver::Solver;
 use casekit_runtime::Runtime;
@@ -110,101 +112,28 @@ enum Mode {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Condensation {
     comp_of: Vec<usize>,
-    /// `members[comp_start[c]..comp_start[c + 1]]` belong to `c`,
-    /// sorted ascending.
-    comp_start: Vec<usize>,
-    members: Vec<ArgId>,
+    /// Row `c` lists the arguments of component `c`, ascending.
+    members: Csr<ArgId>,
     depth: Vec<usize>,
-    /// `level_comps[level_start[d]..level_start[d + 1]]` are the
-    /// components at depth `d`, ascending.
-    level_start: Vec<usize>,
-    level_comps: Vec<usize>,
+    /// Row `d` lists the components at depth `d`, ascending.
+    levels: Csr<usize>,
 }
 
 impl Condensation {
-    /// Condenses `adj` with an iterative Tarjan pass — an explicit
-    /// work stack instead of recursion, so a 10^5-node attack chain
-    /// cannot overflow the call stack.
+    /// Condenses `adj` with the shared iterative Tarjan pass
+    /// ([`crate::graph::scc`]) over the target rows, so a 10^5-node
+    /// attack chain cannot overflow the call stack.
     pub fn build(adj: &Adjacency) -> Self {
-        const UNVISITED: usize = usize::MAX;
-        let n = adj.num_args();
-        let mut index = vec![UNVISITED; n];
-        let mut low = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<ArgId> = Vec::new();
-        // Tarjan emission ids: the first component emitted is a sink of
-        // the condensation, so emission order is reverse topological.
-        let mut emission = vec![UNVISITED; n];
-        let mut emitted = 0usize;
-        let mut next_index = 0usize;
-        let mut call: Vec<(ArgId, usize)> = Vec::new();
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
+        let members = graph::scc(&adj.targets, |&t| Some(t));
+        let mut comp_of = vec![0; adj.num_args()];
+        let mut depth = vec![0usize; members.rows()];
+        for c in 0..members.rows() {
+            for &a in members.row(c) {
+                comp_of[a] = c;
             }
-            index[root] = next_index;
-            low[root] = next_index;
-            next_index += 1;
-            stack.push(root);
-            on_stack[root] = true;
-            call.push((root, 0));
-            while let Some(frame) = call.last_mut() {
-                let v = frame.0;
-                let targets = adj.targets(v);
-                if frame.1 < targets.len() {
-                    let w = targets[frame.1];
-                    frame.1 += 1;
-                    if index[w] == UNVISITED {
-                        index[w] = next_index;
-                        low[w] = next_index;
-                        next_index += 1;
-                        stack.push(w);
-                        on_stack[w] = true;
-                        call.push((w, 0));
-                    } else if on_stack[w] {
-                        low[v] = low[v].min(index[w]);
-                    }
-                } else {
-                    call.pop();
-                    if let Some(parent) = call.last() {
-                        low[parent.0] = low[parent.0].min(low[v]);
-                    }
-                    if low[v] == index[v] {
-                        loop {
-                            let w = stack.pop().expect("Tarjan stack holds the component");
-                            on_stack[w] = false;
-                            emission[w] = emitted;
-                            if w == v {
-                                break;
-                            }
-                        }
-                        emitted += 1;
-                    }
-                }
-            }
-        }
-        // Reverse the emission order so attackers come first.
-        let num_comps = emitted;
-        let comp_of: Vec<usize> = emission.iter().map(|&e| num_comps - 1 - e).collect();
-        let mut comp_start = vec![0usize; num_comps + 1];
-        for &c in &comp_of {
-            comp_start[c + 1] += 1;
-        }
-        for c in 0..num_comps {
-            comp_start[c + 1] += comp_start[c];
-        }
-        let mut members = vec![0 as ArgId; n];
-        let mut cursor = comp_start.clone();
-        // Ascending argument order in, sorted members per component out.
-        for (a, &c) in comp_of.iter().enumerate() {
-            members[cursor[c]] = a;
-            cursor[c] += 1;
-        }
-        // Longest-path depth: attackers are upstream, hence already
-        // finalized when their target's component comes around.
-        let mut depth = vec![0usize; num_comps];
-        for c in 0..num_comps {
-            for &a in &members[comp_start[c]..comp_start[c + 1]] {
+            // Longest-path depth: attackers are upstream, hence already
+            // finalized when their target's component comes around.
+            for &a in members.row(c) {
                 for &b in adj.attackers(a) {
                     let cb = comp_of[b];
                     if cb != c {
@@ -214,26 +143,12 @@ impl Condensation {
             }
         }
         let num_levels = depth.iter().map(|&d| d + 1).max().unwrap_or(0);
-        let mut level_start = vec![0usize; num_levels + 1];
-        for &d in &depth {
-            level_start[d + 1] += 1;
-        }
-        for d in 0..num_levels {
-            level_start[d + 1] += level_start[d];
-        }
-        let mut level_comps = vec![0usize; num_comps];
-        let mut cursor = level_start.clone();
-        for (c, &d) in depth.iter().enumerate() {
-            level_comps[cursor[d]] = c;
-            cursor[d] += 1;
-        }
+        let levels = Csr::from_pairs(num_levels, depth.iter().enumerate().map(|(c, &d)| (d, c)));
         Condensation {
             comp_of,
-            comp_start,
             members,
             depth,
-            level_start,
-            level_comps,
+            levels,
         }
     }
 
@@ -244,12 +159,12 @@ impl Condensation {
 
     /// Number of strongly connected components.
     pub fn num_components(&self) -> usize {
-        self.comp_start.len() - 1
+        self.members.rows()
     }
 
     /// Number of depth levels (0 for an empty framework).
     pub fn num_levels(&self) -> usize {
-        self.level_start.len() - 1
+        self.levels.rows()
     }
 
     /// The component containing argument `id`.
@@ -259,7 +174,7 @@ impl Condensation {
 
     /// The arguments of component `c`, sorted ascending.
     pub fn members(&self, c: usize) -> &[ArgId] {
-        &self.members[self.comp_start[c]..self.comp_start[c + 1]]
+        self.members.row(c)
     }
 
     /// The longest-path depth of component `c` in the condensation.
@@ -270,7 +185,7 @@ impl Condensation {
     /// The components at depth `d`, ascending. They have no attacks
     /// between them, so they are independent given shallower labels.
     pub fn level(&self, d: usize) -> &[usize] {
-        &self.level_comps[self.level_start[d]..self.level_start[d + 1]]
+        self.levels.row(d)
     }
 
     /// Size of the largest component (0 for an empty framework) — the

@@ -32,6 +32,10 @@
 //!   for differential testing.
 //! * [`probe`] — Rushby's "what-if" premise probing over propositional
 //!   theories.
+//! * [`graph`] — the workspace's one graph kernel: a counting-sort CSR
+//!   table builder and an iterative Tarjan SCC pass, shared by the
+//!   argument graph in `casekit-core`, its CK002 lint, [`af`] and
+//!   [`ltl`].
 //!
 //! ## Example
 //!
@@ -73,15 +77,16 @@
 //! logic` emits the measured comparison as `BENCH_logic.json`).
 //!
 //! The same split now covers every decidable substrate. [`af`] compiles
-//! attack graphs to CSR adjacency and decides semantics through the
-//! solver (monolithic labelling encoding, SCC-decomposed above it).
+//! attack graphs to [`graph::Csr`] adjacency and decides semantics
+//! through the solver (monolithic labelling encoding, decomposed along
+//! [`graph::scc`] components above it).
 //! [`fol`] interns terms into a hash-consed arena and resolves through
 //! a first-argument-indexed, explicitly-stacked SLD machine
 //! ([`fol::InternedKb`]); the seed recursive engine survives as
 //! `KnowledgeBase::solve_seed_with`, the differential oracle (`repro
-//! fol` → `BENCH_fol.json`). [`ltl`] compiles Kripke structures to CSR
-//! out-edges with bitset labels and formulas to a hash-consed node
-//! arena, evaluating candidate lassos by closure table
+//! fol` → `BENCH_fol.json`). [`ltl`] compiles Kripke structures to
+//! [`graph::Csr`] out-edges with bitset labels and formulas to a
+//! hash-consed node arena, evaluating candidate lassos by closure table
 //! ([`ltl::CsrKripke`]); the seed trace checker survives as
 //! `Kripke::check_bounded_naive`, the differential oracle (`repro ltl`
 //! → `BENCH_ltl.json`). In every substrate the name-plane API stays the
@@ -93,6 +98,7 @@
 pub mod af;
 pub mod ec;
 pub mod fol;
+pub mod graph;
 pub mod ltl;
 pub mod nd;
 pub mod probe;

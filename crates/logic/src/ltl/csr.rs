@@ -7,9 +7,9 @@
 //! proposition strings at every step of every subformula. This module is
 //! the index-plane replacement:
 //!
-//! * **Graph** — [`CsrKripke`] stores the transition relation in
-//!   compressed-sparse-row form (a flat `offsets`/`targets` pair, like
-//!   `af::Adjacency`) and each state's labels as a bitset over an
+//! * **Graph** — [`CsrKripke`] stores the transition relation as one
+//!   [`crate::graph::Csr`] table (the kernel behind `af::Adjacency` and
+//!   the argument graph) and each state's labels as a bitset over an
 //!   interned `PropId` universe, so "does prop p hold in state s" is one
 //!   shift-and-mask.
 //! * **Formula** — [`CompiledLtl`] hash-conses the syntax tree into a
@@ -33,6 +33,7 @@
 use super::ast::Ltl;
 use super::kripke::{CheckResult, Kripke, StateId};
 use crate::error::LogicError;
+use crate::graph::Csr;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -44,10 +45,8 @@ pub struct CsrKripke {
     words: usize,
     /// `words` label words per state, concatenated.
     labels: Vec<u64>,
-    /// CSR row offsets into `targets`; length `states + 1`.
-    offsets: Vec<u32>,
-    /// Flattened successor lists.
-    targets: Vec<u32>,
+    /// Successor lists, one row per state.
+    successors: Csr<u32>,
     /// Initial states, in insertion order.
     initial: Vec<u32>,
     /// Interned proposition universe.
@@ -73,19 +72,15 @@ impl CsrKripke {
                 labels[s * words + (idx / 64) as usize] |= 1u64 << (idx % 64);
             }
         }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut targets = Vec::new();
-        offsets.push(0u32);
-        for s in 0..n {
-            targets.extend(k.successors_of(s).iter().map(|&t| t as u32));
-            offsets.push(targets.len() as u32);
-        }
+        let successors = Csr::from_pairs(
+            n,
+            (0..n).flat_map(|s| k.successors_of(s).iter().map(move |&t| (s, t as u32))),
+        );
         let initial = k.initial_states().iter().map(|&s| s as u32).collect();
         CsrKripke {
             words,
             labels,
-            offsets,
-            targets,
+            successors,
             initial,
             prop_index,
         }
@@ -93,7 +88,7 @@ impl CsrKripke {
 
     /// Number of states.
     pub fn len(&self) -> usize {
-        self.offsets.len() - 1
+        self.successors.rows()
     }
 
     /// Whether the structure has no states.
@@ -108,8 +103,7 @@ impl CsrKripke {
 
     /// The successors of a state, in insertion order.
     pub fn successors_of(&self, state: u32) -> &[u32] {
-        let s = state as usize;
-        &self.targets[self.offsets[s] as usize..self.offsets[s + 1] as usize]
+        self.successors.row(state as usize)
     }
 
     fn has_prop(&self, state: u32, prop: u32) -> bool {

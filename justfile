@@ -6,14 +6,16 @@ check:
     ./scripts/check.sh
 
 # Mirror the CI pipeline locally, in job order: fmt, clippy, rustdoc
-# with warnings denied, release build + tests, the deny-level example
-# lint, then the smoke bench-regression gate.
+# with warnings denied, release build + tests (the perfbench package's
+# tests under --locked included), the deny-level example lint, then the
+# smoke bench-regression gate.
 ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
     cargo build --release
     cargo test -q
+    cargo test --release --locked --manifest-path perfbench/Cargo.toml
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
     ./scripts/bench_gate.sh
 

@@ -378,7 +378,8 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 mod arena_props {
-    use casekit::core::{Argument, EdgeKind, NodeKind};
+    use casekit::analysis::{lint_argument, Level, LintCode, LintConfig};
+    use casekit::core::{Argument, Edge, EdgeKind, NodeId, NodeKind};
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
@@ -579,9 +580,67 @@ mod arena_props {
         }
 
         #[test]
-        fn reachability_and_acyclicity_agree_with_naive_definitions(a in built_argument()) {
-            // The fuzzed graphs are forward DAGs by construction.
-            prop_assert!(a.is_acyclic());
+        fn reachability_and_acyclicity_agree_with_naive_definitions(
+            dag in built_argument(),
+            back_picks in collection::vec((0usize..1_000_000, 0usize..1_000_000), 0..4),
+        ) {
+            // `built_argument` only makes forward DAGs; support edges from
+            // a later node back to an earlier one close cycles.
+            let n = dag.len();
+            let mut edges = dag.edges().to_vec();
+            for (x, y) in back_picks {
+                let (from, to) = (x % n, y % n);
+                let back = Edge {
+                    from: NodeId::new(format!("n{from}")),
+                    to: NodeId::new(format!("n{to}")),
+                    kind: EdgeKind::SupportedBy,
+                };
+                if to < from && !edges.contains(&back) {
+                    edges.push(back);
+                }
+            }
+            let a = Argument::from_parts(dag.name(), dag.arena().to_vec(), edges)
+                .expect("back edges join existing nodes");
+            // Naive support reachability by edge-list scans: reach[i][j]
+            // when one or more SupportedBy edges lead from n{i} to n{j}.
+            let position = |id: &NodeId| id.as_str()[1..].parse::<usize>().unwrap();
+            let mut reach = vec![vec![false; n]; n];
+            for (i, row) in reach.iter_mut().enumerate() {
+                let mut frontier = vec![i];
+                while let Some(current) = frontier.pop() {
+                    for e in a.edges() {
+                        let j = position(&e.to);
+                        if e.kind == EdgeKind::SupportedBy && position(&e.from) == current && !row[j] {
+                            row[j] = true;
+                            frontier.push(j);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(a.is_acyclic(), (0..n).all(|i| !reach[i][i]));
+            // CK002 reports exactly the mutual-reachability classes.
+            let naive: BTreeSet<BTreeSet<String>> = (0..n)
+                .filter(|&i| reach[i][i])
+                .map(|i| {
+                    (0..n)
+                        .filter(|&j| reach[i][j] && reach[j][i])
+                        .map(|j| format!("n{j}"))
+                        .collect()
+                })
+                .collect();
+            let config = LintConfig::allow_all().with_level(LintCode::SupportCycle, Level::Warn);
+            let reported: BTreeSet<BTreeSet<String>> = lint_argument(&a, &config)
+                .iter()
+                .filter(|d| d.code == LintCode::SupportCycle)
+                .map(|d| {
+                    d.primary
+                        .iter()
+                        .chain(&d.related)
+                        .map(|id| id.as_str().to_string())
+                        .collect()
+                })
+                .collect();
+            prop_assert_eq!(reported, naive);
             // reachable_from == transitive closure computed by scanning.
             let root = a.node_idx(&"n0".into()).unwrap();
             let fast: BTreeSet<String> = a
@@ -598,6 +657,8 @@ mod arena_props {
                     }
                 }
             }
+            // The start is excluded even when a cycle leads back to it.
+            slow.remove("n0");
             prop_assert_eq!(fast, slow);
         }
     }
