@@ -12,7 +12,7 @@
 //! stream, every diagnostic locatable in the text it came from.
 
 use crate::diagnostic::{Diagnostic, LintCode, LintConfig, Sink};
-use casekit_core::dsl::{parse_argument_recovering, SourceMap};
+use casekit_core::dsl::{parse_argument_recovering, DslError, SourceMap};
 use casekit_core::Argument;
 use casekit_logic::{LineIndex, Span, SyntaxErrorKind};
 use casekit_runtime::Runtime;
@@ -101,13 +101,13 @@ pub fn check_source(src: &str, config: &LintConfig) -> SourceAnalysis {
 pub fn check_syntax(src: &str, config: &LintConfig) -> SourceAnalysis {
     let outcome = parse_argument_recovering(src);
     let mut sink = Sink::new(config);
-    for error in &outcome.errors {
+    for DslError { error, node } in outcome.errors {
         sink.emit_at(
-            code_for(error.error.kind),
-            error.node.clone(),
-            error.error.message.clone(),
-            error.error.hint.clone(),
-            error.error.span,
+            code_for(error.kind),
+            node,
+            error.message,
+            error.hint,
+            error.span,
         );
     }
     let diagnostics = sink.finish();

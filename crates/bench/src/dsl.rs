@@ -14,6 +14,14 @@
 //! every file, every syntax error mapped to a span-carrying `CK2xx`
 //! diagnostic, sharded across `casekit-runtime` workers.
 //!
+//! The end-to-end `speedup` compares different work: the seed stops at
+//! each defective file's first error, the engine recovers the whole
+//! file. Two same-work arms split it. `clean_speedup` runs both parsers
+//! serially over the clean quarter alone, where both build the same
+//! arguments, so it is a parity ratio; `recovery_us_per_defective_file`
+//! is the serial engine's absolute cost on the defective rest, work the
+//! seed cannot do at all.
+//!
 //! `bench_dsl_json` emits the comparison as `BENCH_dsl.json` (via
 //! `repro dsl`), with two correctness flags folded into one
 //! `diagnostics_roundtrip` bit: the seed containment property (on every
@@ -122,6 +130,21 @@ pub fn dsl_corpus(config: &DslBenchConfig) -> Vec<String> {
         .collect()
 }
 
+/// Splits a [`dsl_corpus`] into its clean quarter (file `k` with
+/// `k % 4 == 0`, classes 0 and 4) and its defective rest.
+fn split_clean(sources: &[String]) -> (Vec<String>, Vec<String>) {
+    let mut split = (Vec::new(), Vec::new());
+    for (k, src) in sources.iter().enumerate() {
+        let side = if k % 4 == 0 {
+            &mut split.0
+        } else {
+            &mut split.1
+        };
+        side.push(src.clone());
+    }
+    split
+}
+
 /// The baseline arm: a serial loop of abort-on-first-error seed parses.
 /// Returns how many files parsed (the rest died at their first defect).
 pub fn seed_parse_corpus(sources: &[String]) -> usize {
@@ -186,6 +209,19 @@ pub struct DslBenchReport {
     pub speedup: f64,
     /// serial / parallel — the worker contribution alone.
     pub thread_speedup: f64,
+    /// Serial seed-parser loop over the clean quarter alone,
+    /// milliseconds, best of several runs.
+    pub clean_baseline_ms: f64,
+    /// Recovering loader with one worker over the clean quarter alone,
+    /// milliseconds, best of several runs.
+    pub clean_serial_ms: f64,
+    /// clean_baseline / clean_serial — parity on identical work: both
+    /// arms parse the same valid files into the same arguments.
+    pub clean_speedup: f64,
+    /// Recovering loader with one worker over the defective files alone,
+    /// microseconds per file, best of several runs: the absolute cost of
+    /// recovering a damaged file.
+    pub recovery_us_per_defective_file: f64,
     /// Seed containment (clean files identical, abort messages present
     /// in the recovered streams) and worker-count invariance of every
     /// diagnostic byte.
@@ -211,6 +247,12 @@ pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchRe
     let runtime = Runtime::with_workers(workers);
     let (parallel_ms, parallel_loaded) = crate::best_of_ms(3, || loader.load(&sources, &runtime));
 
+    let (clean, defective) = split_clean(&sources);
+    let (clean_baseline_ms, _) = crate::best_of_ms(3, || seed_parse_corpus(&clean));
+    let (clean_serial_ms, _) = crate::best_of_ms(3, || loader.load(&clean, &serial_runtime));
+    let (defective_serial_ms, _) =
+        crate::best_of_ms(3, || loader.load(&defective, &serial_runtime));
+
     // Correctness: worker invariance across one, two, and `workers`
     // threads, plus the seed containment property on every file.
     let halfway = loader.load(&sources, &Runtime::with_workers(2));
@@ -230,7 +272,7 @@ pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchRe
         files: sources.len(),
         nodes_per_file: config.nodes_per_file,
         source_bytes,
-        defective_files: sources.len() - sources.len().div_ceil(4),
+        defective_files: defective.len(),
         recovered_arguments: serial_loaded
             .iter()
             .filter(|c| c.argument.is_some())
@@ -245,6 +287,10 @@ pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchRe
         engine_mb_per_s: mb / (parallel_ms / 1e3).max(1e-9),
         speedup: baseline_ms / parallel_ms.max(1e-9),
         thread_speedup: serial_ms / parallel_ms.max(1e-9),
+        clean_baseline_ms,
+        clean_serial_ms,
+        clean_speedup: clean_baseline_ms / clean_serial_ms.max(1e-9),
+        recovery_us_per_defective_file: defective_serial_ms * 1e3 / defective.len().max(1) as f64,
         diagnostics_roundtrip,
     }
 }
@@ -261,7 +307,9 @@ pub fn render_report(report: &DslBenchReport) -> String {
            seed parser (serial, abort at first error):  {:>10.3} ms ({:>7.1} MB/s)\n\
            recovering loader, 1 worker:                 {:>10.3} ms\n\
            recovering loader, {} workers ({} cores):    {:>10.3} ms ({:>7.1} MB/s)\n\
-           speedup: {:.2}x (threads alone: {:.2}x)   diagnostics roundtrip: {}\n",
+           speedup: {:.2}x (threads alone: {:.2}x)   diagnostics roundtrip: {}\n\
+           same work, clean files, 1 thread: seed {:.3} ms vs recovering {:.3} ms ({:.2}x)\n\
+           recovery cost, 1 thread: {:.1} us per defective file\n",
         report.files,
         report.defective_files,
         report.source_bytes / 1024,
@@ -276,7 +324,11 @@ pub fn render_report(report: &DslBenchReport) -> String {
         report.engine_mb_per_s,
         report.speedup,
         report.thread_speedup,
-        report.diagnostics_roundtrip
+        report.diagnostics_roundtrip,
+        report.clean_baseline_ms,
+        report.clean_serial_ms,
+        report.clean_speedup,
+        report.recovery_us_per_defective_file
     )
 }
 
@@ -317,6 +369,9 @@ mod tests {
         // Valid files are exactly the 0/4 stripes.
         let parsed = seed_parse_corpus(&sources);
         assert_eq!(parsed, 64 / 4);
+        let (clean, defective) = split_clean(&sources);
+        assert_eq!(seed_parse_corpus(&clean), clean.len());
+        assert_eq!(seed_parse_corpus(&defective), 0);
     }
 
     #[test]
@@ -334,6 +389,10 @@ mod tests {
         let json = bench_dsl_json(&report);
         assert!(json.contains("\"diagnostics_roundtrip\": true"));
         assert!(json.contains("\"engine_mb_per_s\""));
+        assert!(json.contains("\"clean_speedup\""));
+        assert!(json.contains("\"recovery_us_per_defective_file\""));
+        assert_eq!(report.defective_files, 36);
+        assert!(report.clean_speedup > 0.0 && report.recovery_us_per_defective_file > 0.0);
         assert!(render_report(&report).contains("diagnostics roundtrip: true"));
     }
 }

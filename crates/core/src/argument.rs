@@ -214,6 +214,41 @@ impl Argument {
         ))
     }
 
+    /// Assembles an argument whose parts the caller has already
+    /// validated — the recovering DSL parser, which refuses every
+    /// invalid id and edge with its own diagnostic as it reads them.
+    /// `index` maps each node's id to its arena position and `edges`
+    /// are `(from, to, kind)` over those positions: no empty or
+    /// duplicate id, no self-loop, no repeated edge.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgumentError::TooLarge`] when the parts exceed the `u32` index
+    /// space, the one refusal validation at read time cannot rule out.
+    pub(crate) fn from_validated(
+        name: String,
+        nodes: Vec<Node>,
+        index: HashMap<NodeId, NodeIdx>,
+        edges: Vec<(NodeIdx, NodeIdx, EdgeKind)>,
+    ) -> Result<Argument, ArgumentError> {
+        if nodes.len() > u32::MAX as usize || edges.len() > u32::MAX as usize {
+            return Err(ArgumentError::TooLarge);
+        }
+        debug_assert_eq!(index.len(), nodes.len(), "one index entry per node");
+        let (edges, endpoints) = edges
+            .into_iter()
+            .map(|(from, to, kind)| {
+                let edge = Edge {
+                    from: nodes[from.index()].id.clone(),
+                    to: nodes[to.index()].id.clone(),
+                    kind,
+                };
+                (edge, (from, to))
+            })
+            .unzip();
+        Ok(Argument::assemble(name, nodes, index, edges, endpoints))
+    }
+
     /// Infallible final assembly once ids and endpoints are validated.
     fn assemble(
         name: String,

@@ -1,32 +1,43 @@
-//! Error-tolerant lexer for the `.case` DSL.
+//! Error-tolerant, zero-copy lexer for the `.case` DSL.
 //!
 //! Unlike the retained seed lexer (see [`super::seed`]), this lexer never
 //! aborts: characters no token can start with and unterminated string
 //! literals are reported as [`ParseError`]s and skipped (an unterminated
 //! string still yields its partial content as a token), so the parser
-//! always receives the full token stream. It also iterates
-//! [`str::char_indices`] directly instead of materializing a `Vec<char>`
-//! plus a parallel byte-offset table — corpus ingestion lexes each file
-//! with no per-file scratch allocations beyond the token vector itself.
+//! always receives the full token stream.
+//!
+//! Tokens borrow the source: a word is the slice it was read from and a
+//! string literal is its raw body, escapes unresolved, so lexing a file
+//! allocates nothing per token — the token vector is its only
+//! allocation. [`unescape`] resolves a literal's escapes at the one place
+//! the parser builds owned text from it (a node's text, the argument
+//! name, a payload). The scan walks bytes and decodes a `char` only at a
+//! non-ASCII byte (an ASCII byte is its own `char`), so the
+//! `char::is_whitespace` / `char::is_alphanumeric` rules apply to every
+//! character and every span stays on a `char` boundary.
+
+use std::borrow::Cow;
 
 use casekit_logic::{ParseError, Span, SyntaxError, SyntaxErrorKind};
 
-/// A DSL token.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Tok {
+/// A DSL token, borrowing the source it was lexed from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tok<'a> {
     /// A bare word: a kind keyword, modifier, `ref`, or identifier.
-    Word(String),
-    /// A quoted string literal (content, unescaped).
-    Str(String),
+    Word(&'a str),
+    /// A quoted string literal: the raw body between the quotes, escapes
+    /// unresolved (see [`unescape`]). An unterminated literal's body runs
+    /// to the end of input.
+    Str(&'a str),
     /// `{`
     LBrace,
     /// `}`
     RBrace,
 }
 
-impl Tok {
+impl Tok<'_> {
     /// How the token reads in an "expected X, found Y" message.
-    pub(crate) fn describe(&self) -> String {
+    pub(crate) fn describe(self) -> String {
         match self {
             Tok::Word(w) => format!("`{w}`"),
             Tok::Str(_) => "a string".to_string(),
@@ -37,10 +48,57 @@ impl Tok {
 }
 
 /// A token plus the byte range of source text it came from.
-#[derive(Debug, Clone)]
-pub(crate) struct Lexed {
-    pub(crate) tok: Tok,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lexed<'a> {
+    pub(crate) tok: Tok<'a>,
     pub(crate) span: Span,
+}
+
+/// Resolves a string literal body's escapes: `\"` and `\\` stand for
+/// `"` and `\`; a backslash before anything else (or at the end of an
+/// unterminated literal) is kept literally, as in the seed lexer.
+///
+/// Returns [`Cow::Borrowed`] exactly when no escape was resolved, in
+/// which case the content's bytes align one-to-one with the body's.
+pub(crate) fn unescape(raw: &str) -> Cow<'_, str> {
+    let bytes = raw.as_bytes();
+    // `out` allocates at the first resolved escape, which also moves
+    // `copied` past 0.
+    let mut out = String::new();
+    let mut copied = 0;
+    let mut i = 0;
+    while i < bytes.len() {
+        if escape_at(bytes, i) {
+            // Both bytes are ASCII, so `i` and `i + 1` are char boundaries.
+            out.push_str(&raw[copied..i]);
+            copied = i + 1;
+            i += 2;
+        } else {
+            i += 1;
+        }
+    }
+    if copied == 0 {
+        return Cow::Borrowed(raw);
+    }
+    out.push_str(&raw[copied..]);
+    Cow::Owned(out)
+}
+
+/// Whether a literal body's byte `i` starts an escape, `\"` or `\\`. The
+/// lexer skips escapes with this rule when it looks for the closing
+/// quote, and [`unescape`] resolves them with it.
+fn escape_at(bytes: &[u8], i: usize) -> bool {
+    bytes[i] == b'\\' && matches!(bytes.get(i + 1), Some(b'"' | b'\\'))
+}
+
+/// The character starting at byte `i` (a char boundary), or `None` at
+/// the end of input: an ASCII byte is its own `char`, so only a
+/// non-ASCII byte is decoded.
+fn char_at(input: &str, i: usize) -> Option<char> {
+    match *input.as_bytes().get(i)? {
+        b if b.is_ascii() => Some(char::from(b)),
+        _ => input[i..].chars().next(),
+    }
 }
 
 /// Lexes `input` to the end, collecting errors instead of stopping.
@@ -48,88 +106,80 @@ pub(crate) struct Lexed {
 /// Every byte is either consumed by a token, skipped as
 /// whitespace/comment, or skipped with an error — so the parser behind
 /// this lexer sees everything the author wrote.
-pub(crate) fn lex(input: &str) -> (Vec<Lexed>, Vec<ParseError>) {
+pub(crate) fn lex(input: &str) -> (Vec<Lexed<'_>>, Vec<ParseError>) {
+    let bytes = input.as_bytes();
     let mut toks = Vec::new();
     let mut errors = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
+    let is_word_char = |c: char| c.is_alphanumeric() || c == '_';
+    let mut i = 0;
+    while let Some(c) = char_at(input, i) {
         if c.is_whitespace() {
-            chars.next();
-        } else if c == '#' || (c == '/' && input[i + 1..].starts_with('/')) {
-            // Comment to end of line.
-            for (_, d) in chars.by_ref() {
-                if d == '\n' {
-                    break;
-                }
-            }
-        } else if c == '{' {
-            chars.next();
+            i += c.len_utf8();
+        } else if c == '#' || (c == '/' && bytes.get(i + 1) == Some(&b'/')) {
+            // Comment to end of line, the newline included.
+            i = match bytes[i..].iter().position(|&b| b == b'\n') {
+                Some(newline) => i + newline + 1,
+                None => bytes.len(),
+            };
+        } else if c == '{' || c == '}' {
+            let tok = if c == '{' { Tok::LBrace } else { Tok::RBrace };
             toks.push(Lexed {
-                tok: Tok::LBrace,
+                tok,
                 span: Span::new(i, i + 1),
             });
-        } else if c == '}' {
-            chars.next();
-            toks.push(Lexed {
-                tok: Tok::RBrace,
-                span: Span::new(i, i + 1),
-            });
+            i += 1;
         } else if c == '"' {
-            chars.next();
-            let mut content = String::new();
-            let mut closed = false;
-            let mut end = input.len();
-            while let Some((j, d)) = chars.next() {
-                match d {
-                    '"' => {
-                        closed = true;
-                        end = j + 1;
+            // Only ASCII bytes end the body or form an escape, so the
+            // byte scan never stops inside a multi-byte character.
+            let body = i + 1;
+            let mut j = body;
+            let mut close = None;
+            while j < bytes.len() {
+                match bytes[j] {
+                    b'"' => {
+                        close = Some(j);
                         break;
                     }
-                    '\\' if matches!(chars.peek(), Some(&(_, '"')) | Some(&(_, '\\'))) => {
-                        let (_, escaped) = chars.next().expect("peeked");
-                        content.push(escaped);
-                    }
-                    other => content.push(other),
+                    _ if escape_at(bytes, j) => j += 2,
+                    _ => j += 1,
                 }
             }
-            if !closed {
-                errors.push(
-                    SyntaxError::with_kind(
-                        SyntaxErrorKind::UnterminatedString,
-                        "unterminated string literal",
-                        Span::new(i, input.len()),
-                    )
-                    .with_hint("add a closing `\"`"),
-                );
-            }
+            let (raw, end) = match close {
+                Some(j) => (&input[body..j], j + 1),
+                None => {
+                    errors.push(
+                        SyntaxError::with_kind(
+                            SyntaxErrorKind::UnterminatedString,
+                            "unterminated string literal",
+                            Span::new(i, input.len()),
+                        )
+                        .with_hint("add a closing `\"`"),
+                    );
+                    (&input[body..], input.len())
+                }
+            };
             toks.push(Lexed {
-                tok: Tok::Str(content),
+                tok: Tok::Str(raw),
                 span: Span::new(i, end),
             });
-        } else if c.is_alphanumeric() || c == '_' {
-            let start = i;
+            i = end;
+        } else if is_word_char(c) {
             let mut end = i + c.len_utf8();
-            chars.next();
-            while let Some(&(j, d)) = chars.peek() {
-                if d.is_alphanumeric() || d == '_' {
-                    end = j + d.len_utf8();
-                    chars.next();
-                } else {
-                    break;
-                }
+            while let Some(d) = char_at(input, end).filter(|&d| is_word_char(d)) {
+                end += d.len_utf8();
             }
             toks.push(Lexed {
-                tok: Tok::Word(input[start..end].to_string()),
-                span: Span::new(start, end),
+                tok: Tok::Word(&input[i..end]),
+                span: Span::new(i, end),
             });
+            i = end;
         } else {
-            chars.next();
             errors.push(SyntaxError::with_kind(
                 SyntaxErrorKind::UnexpectedChar,
                 format!("unexpected character `{c}`"),
                 Span::new(i, i + c.len_utf8()),
             ));
+            i += c.len_utf8();
         }
     }
     (toks, errors)
@@ -139,7 +189,7 @@ pub(crate) fn lex(input: &str) -> (Vec<Lexed>, Vec<ParseError>) {
 mod tests {
     use super::*;
 
-    fn words(src: &str) -> Vec<Tok> {
+    fn words(src: &str) -> Vec<Tok<'_>> {
         let (toks, errors) = lex(src);
         assert!(errors.is_empty(), "unexpected lex errors: {errors:?}");
         toks.into_iter().map(|l| l.tok).collect()
@@ -150,9 +200,9 @@ mod tests {
         assert_eq!(
             words(r#"goal g1 "text" { }"#),
             vec![
-                Tok::Word("goal".into()),
-                Tok::Word("g1".into()),
-                Tok::Str("text".into()),
+                Tok::Word("goal"),
+                Tok::Word("g1"),
+                Tok::Str("text"),
                 Tok::LBrace,
                 Tok::RBrace,
             ]
@@ -168,14 +218,30 @@ mod tests {
     }
 
     #[test]
+    fn every_span_slices_back_to_its_token() {
+        let src = "argument \"n\\\"x\" {\u{a0}goal é1 \"café ☃\" formal \"p\\\\\"\u{2028}\
+                   {\r\n ref é1 }\t} // tail\n\"open \\";
+        let (toks, _) = lex(src);
+        assert!(toks.len() >= 12);
+        for lexed in &toks {
+            let text = &src[lexed.span.start..lexed.span.end];
+            match lexed.tok {
+                Tok::Word(w) => assert_eq!(text, w),
+                Tok::Str(raw) => {
+                    assert_eq!(&text[1..1 + raw.len()], raw);
+                    assert!(text.len() == raw.len() + 2 || lexed.span.end == src.len());
+                }
+                Tok::LBrace => assert_eq!(text, "{"),
+                Tok::RBrace => assert_eq!(text, "}"),
+            }
+        }
+    }
+
+    #[test]
     fn comments_skipped_both_styles() {
         assert_eq!(
             words("a // to eol\nb # hash\nc"),
-            vec![
-                Tok::Word("a".into()),
-                Tok::Word("b".into()),
-                Tok::Word("c".into()),
-            ]
+            vec![Tok::Word("a"), Tok::Word("b"), Tok::Word("c")]
         );
     }
 
@@ -191,12 +257,16 @@ mod tests {
 
     #[test]
     fn escapes_in_strings() {
-        assert_eq!(
-            words(r#""a \"quoted\" \\ name""#),
-            vec![Tok::Str(r#"a "quoted" \ name"#.into())]
-        );
-        // A backslash before anything else is kept literally (seed behavior).
-        assert_eq!(words(r#""a \n b""#), vec![Tok::Str(r"a \n b".into())]);
+        let raw = r#"a \"quoted\" \\ name"#;
+        assert_eq!(words(&format!("\"{raw}\"")), vec![Tok::Str(raw)]);
+        assert_eq!(unescape(raw), r#"a "quoted" \ name"#);
+        assert!(matches!(unescape(raw), Cow::Owned(_)));
+        // A backslash before anything else is kept literally (seed
+        // behavior), and resolves no escape.
+        assert_eq!(words(r#""a \n b""#), vec![Tok::Str(r"a \n b")]);
+        assert!(matches!(unescape(r"a \n b"), Cow::Borrowed(r"a \n b")));
+        assert!(matches!(unescape(r"trailing \"), Cow::Borrowed(_)));
+        assert_eq!(unescape(r#"\\\"é\"#), "\\\"é\\");
     }
 
     #[test]
@@ -206,7 +276,12 @@ mod tests {
         assert_eq!(errors[0].kind, SyntaxErrorKind::UnterminatedString);
         assert_eq!(errors[0].span, Span::new(8, 19));
         // The partial content still reaches the parser.
-        assert_eq!(toks.last().unwrap().tok, Tok::Str("never ends".into()));
+        assert_eq!(toks.last().unwrap().tok, Tok::Str("never ends"));
+        // An escaped quote does not close the literal; a lone trailing
+        // backslash is part of the body.
+        let (toks, errors) = lex(r#""a \" b \"#);
+        assert_eq!(errors.len(), 1);
+        assert_eq!(toks[0].tok, Tok::Str(r#"a \" b \"#));
     }
 
     #[test]
@@ -224,9 +299,24 @@ mod tests {
         // `é` is alphanumeric → a word; `☃` is not → an error.
         assert_eq!(toks.len(), 2);
         assert_eq!(toks[0].span, Span::new(0, 2));
-        assert_eq!(toks[1].tok, Tok::Str("café".into()));
+        assert_eq!(toks[1].tok, Tok::Str("café"));
         assert_eq!(errors.len(), 1);
         assert_eq!(errors[0].span.len(), '☃'.len_utf8());
+    }
+
+    #[test]
+    fn unicode_whitespace_and_words_follow_char_rules() {
+        // NBSP and LINE SEPARATOR separate words; the vertical tab is
+        // whitespace too; a word may continue with non-ASCII letters.
+        assert_eq!(
+            words("a\u{a0}b\u{2028}c\u{b}dé_2"),
+            vec![
+                Tok::Word("a"),
+                Tok::Word("b"),
+                Tok::Word("c"),
+                Tok::Word("dé_2"),
+            ]
+        );
     }
 
     #[test]

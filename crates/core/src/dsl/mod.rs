@@ -31,6 +31,14 @@
 //! are anchored *inside* the offending quoted string and tagged with the
 //! owning node's id.
 //!
+//! The frontend allocates nothing per token. Tokens are `Copy` slices of
+//! the input, string escapes are resolved only where owned text is built
+//! (a node's text, the argument name, a payload), and the parser
+//! validates every id and edge as it reads them, refusing exactly what
+//! [`Argument::from_parts`] would refuse. Its id table and index-based
+//! edge list therefore become the argument's interner and adjacency
+//! directly, with no second validation pass.
+//!
 //! [`parse_argument`] is the strict wrapper (first diagnostic becomes
 //! the `Err`), and [`parse_argument_seed`] is the retained
 //! abort-on-first-error seed parser, kept as a differential oracle and
@@ -233,7 +241,7 @@ fn render_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casekit_logic::SyntaxErrorKind;
+    use casekit_logic::{Span, SyntaxErrorKind};
 
     const SAMPLE: &str = r#"
         // A small UAV argument.
@@ -462,6 +470,27 @@ mod tests {
         let a = out.argument.unwrap();
         assert_eq!(a.len(), 2);
         assert!(a.node(&"g1".into()).unwrap().formal.is_none());
+    }
+
+    #[test]
+    fn payload_caret_in_unterminated_literals() {
+        let payload_span = |src: &str| {
+            let out = parse_argument_recovering(src);
+            let bad = out
+                .errors
+                .iter()
+                .find(|e| e.error.kind == SyntaxErrorKind::BadPayload)
+                .expect("a payload diagnostic");
+            bad.error.span
+        };
+        // One resolved escape: the content no longer lines up with the
+        // source, so the whole literal (to end of input) is blamed.
+        let escaped = r#"argument "x" { goal g1 "t" formal "p \" q"#;
+        assert_eq!(payload_span(escaped), Span::new(34, escaped.len()));
+        // No escape: the caret is exact though the literal never closes.
+        let plain = r#"argument "x" { goal g1 "t" formal "p $ q"#;
+        assert_eq!(payload_span(plain), Span::new(37, 38));
+        assert_eq!(&plain[37..38], "$");
     }
 
     #[test]

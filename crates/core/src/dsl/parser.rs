@@ -26,19 +26,26 @@
 //!   seed parser (and the builder), `ref` targets must already be
 //!   declared — there are no forward references.
 //!
-//! Everything that survives is fed to [`ArgumentBuilder`], which — by
-//! construction — accepts it, so a file with errors still yields a
-//! best-effort [`Argument`] plus a sorted diagnostic stream.
+//! The parser validates as it reads, refusing with a diagnostic exactly
+//! the ids and edges [`Argument::from_parts`] would refuse, so what
+//! survives goes straight to arena assembly: a file with errors still
+//! yields a best-effort [`Argument`] plus a sorted diagnostic stream.
+//! Each declared id is hashed once, into the one id table that becomes
+//! the argument's interner, and edges are kept as arena positions from
+//! the start. Tokens borrow the source and are copied on peek; a node's
+//! owned text is built only when the node is recorded.
 
+use std::borrow::Cow;
+use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
 
 use casekit_logic::{ltl::parse_ltl, prop, ParseError, Span, SyntaxError, SyntaxErrorKind};
 
-use super::lexer::{lex, Lexed, Tok};
+use super::lexer::{lex, unescape, Lexed, Tok};
 use super::source_map::{NodeSpans, SourceMap};
 use super::{edge_kind_for, kind_of, DslError, ParseOutcome};
-use crate::argument::Argument;
-use crate::node::{EdgeKind, FormalPayload, Node, NodeId, NodeKind};
+use crate::argument::{Argument, NodeIdx};
+use crate::node::{EdgeKind, FormalPayload, Node, NodeId};
 
 /// Parses `input`, recovering at every error. See the module docs for
 /// the recovery strategy.
@@ -48,12 +55,11 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
         input,
         toks,
         pos: 0,
-        end: input.len(),
         errors: lex_errors
             .into_iter()
             .map(|error| DslError { error, node: None })
             .collect(),
-        declared: HashSet::new(),
+        ids: HashMap::new(),
         nodes: Vec::new(),
         edges: Vec::new(),
         edge_set: HashSet::new(),
@@ -64,37 +70,35 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
     // "expected `}`" cascade; otherwise parse the body (even without a
     // name — the diagnostics are still real).
     if !(name.is_none() && p.pos >= p.toks.len()) {
-        p.node_list(None, false);
+        p.node_list(Scope::Top);
     }
     p.trailing();
 
-    let argument = name.and_then(|name| {
-        let mut builder = Argument::builder(name);
-        for node in std::mem::take(&mut p.nodes) {
-            builder = builder.node(node);
-        }
-        for (from, to, kind) in std::mem::take(&mut p.edges) {
-            builder = builder.edge(from.as_str(), to.as_str(), kind);
-        }
-        match builder.build() {
+    let Parser {
+        mut errors,
+        ids,
+        nodes,
+        edges,
+        source_map,
+        ..
+    } = p;
+    let argument = name.and_then(
+        |name| match Argument::from_validated(name, nodes, ids, edges) {
             Ok(argument) => Some(argument),
             Err(e) => {
-                // Unreachable by construction (everything was pre-validated),
-                // but never let a builder refusal turn into a panic.
-                p.push_err(
-                    SyntaxError::with_kind(
+                errors.push(DslError {
+                    error: SyntaxError::with_kind(
                         SyntaxErrorKind::Structure,
                         e.to_string(),
-                        Span::point(p.end),
+                        Span::point(input.len()),
                     ),
-                    None,
-                );
+                    node: None,
+                });
                 None
             }
-        }
-    });
+        },
+    );
 
-    let mut errors = p.errors;
     errors.sort_by(|a, b| {
         (a.error.span.start, a.error.span.end, &a.error.message).cmp(&(
             b.error.span.start,
@@ -104,42 +108,49 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
     });
     ParseOutcome {
         argument,
-        source_map: p.source_map,
+        source_map,
         errors,
     }
 }
 
+/// Where a node list sits: the argument's top level, or the body of a
+/// node — `None` when that node was suppressed, so nothing inside it is
+/// recorded.
+#[derive(Debug, Clone, Copy)]
+enum Scope {
+    Top,
+    Body(Option<NodeIdx>),
+}
+
 struct Parser<'a> {
     input: &'a str,
-    toks: Vec<Lexed>,
+    toks: Vec<Lexed<'a>>,
     pos: usize,
-    end: usize,
     errors: Vec<DslError>,
-    declared: HashSet<NodeId>,
+    /// The id table: the arena position of every recorded node.
+    ids: HashMap<NodeId, NodeIdx>,
     nodes: Vec<Node>,
-    edges: Vec<(NodeId, NodeId, EdgeKind)>,
-    edge_set: HashSet<(NodeId, NodeId, EdgeKind)>,
+    edges: Vec<(NodeIdx, NodeIdx, EdgeKind)>,
+    edge_set: HashSet<(NodeIdx, NodeIdx, EdgeKind)>,
     source_map: SourceMap,
 }
 
-impl Parser<'_> {
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos).map(|l| &l.tok)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|l| l.tok)
     }
 
     fn here(&self) -> Span {
         self.toks
             .get(self.pos)
             .map(|l| l.span)
-            .unwrap_or(Span::point(self.end))
+            .unwrap_or(Span::point(self.input.len()))
     }
 
-    fn next(&mut self) -> Option<Lexed> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    /// Consumes the token [`Parser::peek`] returned.
+    fn bump(&mut self) {
+        debug_assert!(self.pos < self.toks.len(), "bump past the last token");
+        self.pos += 1;
     }
 
     fn push_err(&mut self, error: ParseError, node: Option<NodeId>) {
@@ -155,8 +166,40 @@ impl Parser<'_> {
     /// the offending token can still be claimed by a later production.
     fn err_expected(&mut self, expected: &str) {
         let span = self.here();
-        let found = self.peek().map(|t| t.describe());
+        let found = self.peek().map(Tok::describe);
         self.push_err(SyntaxError::expected_found(expected, found, span), None);
+    }
+
+    /// Consumes a string literal, returning its raw body and span, or
+    /// reports `expected` without consuming.
+    fn string(&mut self, expected: &str) -> Option<(&'a str, Span)> {
+        match self.peek() {
+            Some(Tok::Str(raw)) => {
+                let span = self.here();
+                self.bump();
+                Some((raw, span))
+            }
+            _ => {
+                self.err_expected(expected);
+                None
+            }
+        }
+    }
+
+    /// Consumes a node identifier — a word that is neither a kind
+    /// keyword nor `ref` — or reports one missing without consuming.
+    fn identifier(&mut self) -> Option<(&'a str, Span)> {
+        match self.peek() {
+            Some(Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
+                let span = self.here();
+                self.bump();
+                Some((w, span))
+            }
+            _ => {
+                self.err_expected("a node identifier");
+                None
+            }
+        }
     }
 
     /// Skips tokens until the grammar can plausibly resume: a `}` at the
@@ -166,22 +209,13 @@ impl Parser<'_> {
         let mut depth = 0usize;
         while let Some(tok) = self.peek() {
             match tok {
-                Tok::RBrace => {
-                    if depth == 0 {
-                        return;
-                    }
-                    depth -= 1;
-                    self.next();
-                }
-                Tok::LBrace => {
-                    depth += 1;
-                    self.next();
-                }
+                Tok::RBrace if depth == 0 => return,
+                Tok::RBrace => depth -= 1,
+                Tok::LBrace => depth += 1,
                 Tok::Word(w) if depth == 0 && (kind_of(w).is_some() || w == "ref") => return,
-                _ => {
-                    self.next();
-                }
+                _ => {}
             }
+            self.bump();
         }
     }
 
@@ -189,42 +223,27 @@ impl Parser<'_> {
     /// Returns the name when one was present.
     fn header(&mut self) -> Option<String> {
         match self.peek() {
-            Some(Tok::Word(w)) if w == "argument" => {
-                self.next();
-            }
+            Some(Tok::Word("argument")) => self.bump(),
             Some(Tok::Word(_)) => {
                 self.err_expected("`argument`");
-                self.next();
+                self.bump();
             }
             _ => self.err_expected("`argument`"),
         }
-        let name = match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                self.source_map.name = Some(span);
-                Some(s)
-            }
-            _ => {
-                self.err_expected("argument name string");
-                None
-            }
-        };
+        let name = self.string("argument name string").map(|(raw, span)| {
+            self.source_map.name = Some(span);
+            unescape(raw).into_owned()
+        });
         match self.peek() {
-            Some(Tok::LBrace) => {
-                self.next();
-            }
+            Some(Tok::LBrace) => self.bump(),
             _ => self.err_expected("`{`"),
         }
         name
     }
 
     /// Parses nodes/refs until the matching `}` (consumed) or end of
-    /// input (reported). `parent` is `None` at top level. `suppress`
-    /// parses without recording — used inside unrecoverable subtrees.
-    fn node_list(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    /// input (reported).
+    fn node_list(&mut self, scope: Scope) {
         loop {
             match self.peek() {
                 None => {
@@ -232,11 +251,11 @@ impl Parser<'_> {
                     return;
                 }
                 Some(Tok::RBrace) => {
-                    self.next();
+                    self.bump();
                     return;
                 }
-                Some(Tok::Word(w)) if w == "ref" => self.reference(parent, suppress),
-                Some(Tok::Word(_)) => self.node(parent, suppress),
+                Some(Tok::Word("ref")) => self.reference(scope),
+                Some(Tok::Word(word)) => self.node(scope, word),
                 Some(_) => {
                     self.err_expected("a node kind");
                     self.sync();
@@ -247,24 +266,14 @@ impl Parser<'_> {
 
     /// Parses `ref IDENT`, validating the edge at the reference site
     /// (matching the seed parser's no-forward-reference semantics).
-    fn reference(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    fn reference(&mut self, scope: Scope) {
         let kw_span = self.here();
-        self.next(); // `ref`
-        let (target, target_span) = match self.peek() {
-            Some(Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
-                let span = self.here();
-                let Some(Tok::Word(w)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a word")
-                };
-                (w, span)
-            }
-            _ => {
-                self.err_expected("a node identifier");
-                return;
-            }
+        self.bump(); // `ref`
+        let Some((target, target_span)) = self.identifier() else {
+            return;
         };
-        match parent {
-            None => self.push_err(
+        match scope {
+            Scope::Top => self.push_err(
                 SyntaxError::with_kind(
                     SyntaxErrorKind::Structure,
                     "`ref` is only allowed inside a node body",
@@ -273,129 +282,108 @@ impl Parser<'_> {
                 .with_hint("nest `ref` under the node it supports"),
                 None,
             ),
-            Some((parent_id, _)) if !suppress => {
-                // Edge kind depends on the *referenced* node's kind, which
-                // may not be known yet; we default to SupportedBy — a ref
-                // to a context node should use nesting instead.
-                self.add_edge(
-                    parent_id.clone(),
-                    NodeId::new(target),
-                    EdgeKind::SupportedBy,
-                    target_span,
-                );
-            }
-            Some(_) => {}
+            // Edge kind depends on the *referenced* node's kind, which
+            // may not be known yet; we default to SupportedBy — a ref to
+            // a context node should use nesting instead.
+            Scope::Body(Some(from)) => match self.ids.get(target) {
+                Some(&to) => self.add_edge(from, to, EdgeKind::SupportedBy, target_span),
+                None => self.push_err(
+                    SyntaxError::with_kind(
+                        SyntaxErrorKind::Structure,
+                        format!("unknown node `{target}`"),
+                        target_span,
+                    )
+                    .with_hint("`ref` targets must be declared earlier in the file"),
+                    None,
+                ),
+            },
+            Scope::Body(None) => {}
         }
     }
 
-    /// Validates and records one edge, reporting (and dropping) exactly
-    /// the edges the [`ArgumentBuilder`](crate::argument::ArgumentBuilder)
-    /// would refuse — so the builder never fails on what survives.
-    fn add_edge(&mut self, from: NodeId, to: NodeId, kind: EdgeKind, span: Span) {
-        if from == to {
-            self.push_err(
-                SyntaxError::with_kind(
-                    SyntaxErrorKind::Structure,
-                    format!("self-loop on `{from}`"),
-                    span,
-                ),
-                Some(from),
-            );
+    /// Records one edge between declared nodes, reporting (and dropping)
+    /// a self-loop or a repeated edge. With undeclared `ref` targets
+    /// refused by [`Parser::reference`], these are exactly the edges
+    /// [`Argument::from_parts`] would refuse.
+    fn add_edge(&mut self, from: NodeIdx, to: NodeIdx, kind: EdgeKind, span: Span) {
+        let id = |idx: NodeIdx| self.nodes[idx.index()].id.clone();
+        let (message, node) = if from == to {
+            (format!("self-loop on `{}`", id(from)), id(from))
+        } else if self.edge_set.insert((from, to, kind)) {
+            self.edges.push((from, to, kind));
             return;
-        }
-        if !self.declared.contains(&to) {
-            self.push_err(
-                SyntaxError::with_kind(
-                    SyntaxErrorKind::Structure,
-                    format!("unknown node `{to}`"),
-                    span,
-                )
-                .with_hint("`ref` targets must be declared earlier in the file"),
-                None,
-            );
-            return;
-        }
-        if !self.edge_set.insert((from.clone(), to.clone(), kind)) {
-            self.push_err(
-                SyntaxError::with_kind(
-                    SyntaxErrorKind::Structure,
-                    format!("duplicate edge `{from}` -> `{to}`"),
-                    span,
-                ),
-                Some(to),
-            );
-            return;
-        }
-        self.edges.push((from, to, kind));
+        } else {
+            (
+                format!("duplicate edge `{}` -> `{}`", id(from), id(to)),
+                id(to),
+            )
+        };
+        self.push_err(
+            SyntaxError::with_kind(SyntaxErrorKind::Structure, message, span),
+            Some(node),
+        );
     }
 
-    /// Parses one node declaration (and its body).
-    fn node(&mut self, parent: Option<(&NodeId, NodeKind)>, suppress: bool) {
+    /// Parses one node declaration (and its body); the caller peeked its
+    /// kind word.
+    fn node(&mut self, scope: Scope, kind_word: &str) {
         let kw_span = self.here();
-        let Some(Tok::Word(kind_word)) = self.next().map(|l| l.tok) else {
-            unreachable!("caller peeked a word")
-        };
-        let kind = match kind_of(&kind_word) {
-            Some(kind) => Some(kind),
-            None => {
-                let mut e = SyntaxError::with_kind(
-                    SyntaxErrorKind::UnknownKeyword,
-                    format!("unknown node kind `{kind_word}`"),
-                    kw_span,
-                );
-                if let Some(suggestion) = nearest_kind(&kind_word) {
-                    e = e.with_hint(format!("did you mean `{suggestion}`?"));
-                }
-                self.push_err(e, None);
-                None
+        self.bump();
+        let kind = kind_of(kind_word);
+        if kind.is_none() {
+            let mut e = SyntaxError::with_kind(
+                SyntaxErrorKind::UnknownKeyword,
+                format!("unknown node kind `{kind_word}`"),
+                kw_span,
+            );
+            if let Some(suggestion) = nearest_kind(kind_word) {
+                e = e.with_hint(format!("did you mean `{suggestion}`?"));
             }
-        };
+            self.push_err(e, None);
+        }
 
-        let (id, id_span) = match self.peek() {
-            Some(Tok::Word(w)) if kind_of(w).is_none() && w != "ref" => {
-                let span = self.here();
-                let Some(Tok::Word(w)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a word")
-                };
-                (Some(w), span)
-            }
-            _ => {
-                self.err_expected("a node identifier");
-                (None, self.here())
-            }
+        let (id, id_span) = match self.identifier() {
+            Some((id, span)) => (Some(id), span),
+            None => (None, self.here()),
         };
 
         // A node we can't name or kind can't be recorded; keep parsing
         // its remainder (and body) for diagnostics only.
-        let suppress = suppress || kind.is_none() || id.is_none();
-        let node_id = NodeId::new(id.as_deref().unwrap_or(""));
+        let suppress = matches!(scope, Scope::Body(None)) || kind.is_none() || id.is_none();
+        let id = id.unwrap_or("");
 
-        let mut duplicate = false;
-        if !suppress && self.declared.contains(&node_id) {
-            self.push_err(
-                SyntaxError::with_kind(
-                    SyntaxErrorKind::Structure,
-                    format!("duplicate node id `{node_id}`"),
-                    id_span,
-                )
-                .with_hint("rename one of the declarations, or use `ref` to share a node"),
-                Some(node_id.clone()),
-            );
-            duplicate = true;
-        }
+        // One id-table lookup per declaration. A new id claims its arena
+        // slot now (nothing reads the table until the node fills it,
+        // below); a duplicate's children attach to the original.
+        let (this, new_id) = if suppress {
+            (None, None)
+        } else {
+            let next = NodeIdx::new(self.nodes.len());
+            match self.ids.entry(NodeId::new(id)) {
+                Entry::Vacant(slot) => {
+                    let node_id = slot.key().clone();
+                    slot.insert(next);
+                    (Some(next), Some(node_id))
+                }
+                Entry::Occupied(original) => {
+                    let (original_id, original) = (original.key().clone(), *original.get());
+                    self.push_err(
+                        SyntaxError::with_kind(
+                            SyntaxErrorKind::Structure,
+                            format!("duplicate node id `{id}`"),
+                            id_span,
+                        )
+                        .with_hint("rename one of the declarations, or use `ref` to share a node"),
+                        Some(original_id),
+                    );
+                    (Some(original), None)
+                }
+            }
+        };
 
-        let (text, text_span) = match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                (s, span)
-            }
-            _ => {
-                self.err_expected("node text string");
-                (String::new(), Span::point(self.here().start))
-            }
+        let (text, text_span) = match self.string("node text string") {
+            Some(text) => text,
+            None => ("", Span::point(self.here().start)),
         };
 
         let mut formal: Option<FormalPayload> = None;
@@ -404,46 +392,48 @@ impl Parser<'_> {
         let mut header_end = text_span.end.max(id_span.end).max(kw_span.end);
         loop {
             match self.peek() {
-                Some(Tok::Word(w)) if w == "formal" => {
-                    self.next();
-                    if let Some((src, span)) = self.payload_string("formula") {
+                Some(Tok::Word(which @ ("formal" | "temporal"))) => {
+                    self.bump();
+                    let expected = if which == "formal" {
+                        "formula string"
+                    } else {
+                        "LTL formula string"
+                    };
+                    if let Some((raw, span)) = self.string(expected) {
                         payload_span = Some(span);
                         header_end = header_end.max(span.end);
-                        match prop::parse(&src) {
-                            Ok(f) => formal = Some(FormalPayload::Prop(f)),
-                            Err(e) => self.payload_error("formal", &node_id, span, &src, &e),
+                        let src = unescape(raw);
+                        let parsed = if which == "formal" {
+                            prop::parse(&src).map(FormalPayload::Prop)
+                        } else {
+                            parse_ltl(&src).map(FormalPayload::Temporal)
+                        };
+                        // With no escape resolved, the content is the raw
+                        // body byte for byte and an error in it maps exactly.
+                        let body = matches!(src, Cow::Borrowed(_)).then_some(raw);
+                        match parsed {
+                            Ok(payload) => formal = Some(payload),
+                            Err(e) => self.payload_error(which, id, span, body, &e),
                         }
                     }
                 }
-                Some(Tok::Word(w)) if w == "temporal" => {
-                    self.next();
-                    if let Some((src, span)) = self.payload_string("LTL formula") {
-                        payload_span = Some(span);
-                        header_end = header_end.max(span.end);
-                        match parse_ltl(&src) {
-                            Ok(f) => formal = Some(FormalPayload::Temporal(f)),
-                            Err(e) => self.payload_error("temporal", &node_id, span, &src, &e),
-                        }
-                    }
-                }
-                Some(Tok::Word(w)) if w == "undeveloped" => {
+                Some(Tok::Word("undeveloped")) => {
                     header_end = header_end.max(self.here().end);
-                    self.next();
+                    self.bump();
                     undeveloped = true;
                 }
                 _ => break,
             }
         }
 
-        if !suppress && !duplicate {
+        if let (Some(idx), Some(node_id)) = (this, new_id) {
             let kind = kind.expect("suppress covers kind.is_none()");
-            let mut node = Node::new(node_id.clone(), kind, text);
+            let mut node = Node::new(node_id.clone(), kind, unescape(text).into_owned());
             node.formal = formal;
             node.undeveloped = undeveloped;
-            self.declared.insert(node_id.clone());
             self.nodes.push(node);
             self.source_map.record(
-                node_id.clone(),
+                node_id,
                 NodeSpans {
                     keyword: kw_span,
                     id: id_span,
@@ -452,40 +442,16 @@ impl Parser<'_> {
                     header: Span::new(kw_span.start, header_end),
                 },
             );
-            if let Some((parent_id, _)) = parent {
-                self.add_edge(
-                    parent_id.clone(),
-                    node_id.clone(),
-                    edge_kind_for(kind),
-                    id_span,
-                );
+            if let Scope::Body(Some(parent)) = scope {
+                self.add_edge(parent, idx, edge_kind_for(kind), id_span);
             }
         }
 
         if matches!(self.peek(), Some(Tok::LBrace)) {
-            self.next();
-            // Children of a duplicate declaration attach to the original
-            // node (same id); children of a suppressed subtree are parsed
-            // for diagnostics only.
-            self.node_list(Some((&node_id, kind.unwrap_or(NodeKind::Goal))), suppress);
-        }
-    }
-
-    /// Consumes the quoted payload string after `formal`/`temporal`,
-    /// reporting (without consuming) anything else.
-    fn payload_string(&mut self, what: &str) -> Option<(String, Span)> {
-        match self.peek() {
-            Some(Tok::Str(_)) => {
-                let span = self.here();
-                let Some(Tok::Str(s)) = self.next().map(|l| l.tok) else {
-                    unreachable!("peeked a string")
-                };
-                Some((s, span))
-            }
-            _ => {
-                self.err_expected(&format!("{what} string"));
-                None
-            }
+            self.bump();
+            // Children of a suppressed subtree are parsed for
+            // diagnostics only.
+            self.node_list(Scope::Body(this));
         }
     }
 
@@ -494,37 +460,20 @@ impl Parser<'_> {
     fn payload_error(
         &mut self,
         which: &str,
-        node: &NodeId,
+        node: &str,
         tok_span: Span,
-        src: &str,
+        body: Option<&str>,
         e: &ParseError,
     ) {
-        let span = self.anchor_payload(tok_span, src, e.span);
+        let span = anchor_payload(tok_span, body, e.span);
         self.push_err(
             SyntaxError::with_kind(
                 SyntaxErrorKind::BadPayload,
                 format!("in {which} payload of `{node}`: {}", e.message),
                 span,
             ),
-            Some(node.clone()),
+            Some(NodeId::new(node)),
         );
-    }
-
-    /// Maps a span inside a payload string's *content* to file
-    /// coordinates. Exact when the literal has no escapes (content bytes
-    /// align one-to-one after the opening quote); otherwise the whole
-    /// literal is blamed.
-    fn anchor_payload(&self, tok_span: Span, content: &str, inner: Span) -> Span {
-        let raw = &self.input[tok_span.start..tok_span.end];
-        let unescaped = raw.len() == content.len() + 2;
-        if unescaped && inner.start <= content.len() {
-            Span::new(
-                tok_span.start + 1 + inner.start,
-                (tok_span.start + 1 + inner.end).min(tok_span.end),
-            )
-        } else {
-            tok_span
-        }
     }
 
     /// Reports anything left after the argument's closing `}`.
@@ -539,6 +488,21 @@ impl Parser<'_> {
                 None,
             );
         }
+    }
+}
+
+/// Maps a span inside a payload string's *content* to file coordinates.
+/// Exact when the content is the literal's raw `body` (no escape was
+/// resolved): it then starts right after the opening quote, whether or
+/// not the literal was closed. Otherwise (`None`) the whole literal is
+/// blamed.
+fn anchor_payload(tok_span: Span, body: Option<&str>, inner: Span) -> Span {
+    match body {
+        Some(body) if inner.start <= body.len() => Span::new(
+            tok_span.start + 1 + inner.start,
+            (tok_span.start + 1 + inner.end).min(tok_span.end),
+        ),
+        _ => tok_span,
     }
 }
 

@@ -3,6 +3,7 @@
 use casekit_logic::ltl::Ltl;
 use casekit_logic::prop::Formula;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::fmt;
 use std::sync::Arc;
 
@@ -37,6 +38,15 @@ impl fmt::Display for NodeId {
 impl From<&str> for NodeId {
     fn from(s: &str) -> Self {
         NodeId::new(s)
+    }
+}
+
+/// Lets id-keyed maps and sets be queried with a plain `&str`. Sound
+/// because the derived `Hash`, `Eq` and `Ord` of `NodeId` delegate to
+/// those of the `str` it holds.
+impl Borrow<str> for NodeId {
+    fn borrow(&self) -> &str {
+        &self.0
     }
 }
 

@@ -17,8 +17,8 @@
 use super::ast::Formula;
 use crate::error::{ParseError, Span, SyntaxError, SyntaxErrorKind};
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tok {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Tok<'a> {
     Not,
     And,
     Or,
@@ -28,16 +28,17 @@ enum Tok {
     RParen,
     True,
     False,
-    Ident(String),
+    /// An identifier, borrowed from the input.
+    Ident(&'a str),
 }
 
-#[derive(Debug, Clone)]
-struct Lexed {
-    tok: Tok,
+#[derive(Debug, Clone, Copy)]
+struct Lexed<'a> {
+    tok: Tok<'a>,
     span: Span,
 }
 
-fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
+fn lex(input: &str) -> Result<Vec<Lexed<'_>>, ParseError> {
     let mut out = Vec::new();
     let mut chars = input.char_indices().peekable();
     while let Some(&(i, c)) = chars.peek() {
@@ -161,7 +162,7 @@ fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
                 let tok = match word {
                     "T" | "true" => Tok::True,
                     "F" | "false" => Tok::False,
-                    _ => Tok::Ident(word.to_string()),
+                    _ => Tok::Ident(word),
                 };
                 out.push(Lexed {
                     tok,
@@ -181,7 +182,7 @@ fn lex(input: &str) -> Result<Vec<Lexed>, ParseError> {
 }
 
 /// How a token reads in an "expected X, found Y" message.
-fn describe(tok: &Tok) -> String {
+fn describe(tok: Tok<'_>) -> String {
     match tok {
         Tok::Not => "`~`".into(),
         Tok::And => "`&`".into(),
@@ -196,34 +197,36 @@ fn describe(tok: &Tok) -> String {
     }
 }
 
-struct Parser {
-    toks: Vec<Lexed>,
+struct Parser<'a> {
+    toks: Vec<Lexed<'a>>,
     pos: usize,
     input_len: usize,
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Lexed> {
-        self.toks.get(self.pos)
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<Tok<'a>> {
+        self.toks.get(self.pos).map(|l| l.tok)
     }
 
-    fn next(&mut self) -> Option<Lexed> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
+    /// Consumes and returns the next token, if any.
+    fn next(&mut self) -> Option<Tok<'a>> {
+        let tok = self.peek();
+        if tok.is_some() {
             self.pos += 1;
         }
-        t
+        tok
     }
 
     fn here(&self) -> Span {
-        self.peek()
+        self.toks
+            .get(self.pos)
             .map(|l| l.span)
             .unwrap_or_else(|| Span::point(self.input_len))
     }
 
     fn parse_iff(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.parse_implies()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::Iff)) {
+        while matches!(self.peek(), Some(Tok::Iff)) {
             self.next();
             let rhs = self.parse_implies()?;
             lhs = lhs.iff(rhs);
@@ -233,7 +236,7 @@ impl Parser {
 
     fn parse_implies(&mut self) -> Result<Formula, ParseError> {
         let lhs = self.parse_or()?;
-        if matches!(self.peek().map(|l| &l.tok), Some(Tok::Implies)) {
+        if matches!(self.peek(), Some(Tok::Implies)) {
             self.next();
             let rhs = self.parse_implies()?;
             return Ok(lhs.implies(rhs));
@@ -243,7 +246,7 @@ impl Parser {
 
     fn parse_or(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.parse_and()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::Or)) {
+        while matches!(self.peek(), Some(Tok::Or)) {
             self.next();
             let rhs = self.parse_and()?;
             lhs = lhs.or(rhs);
@@ -253,7 +256,7 @@ impl Parser {
 
     fn parse_and(&mut self) -> Result<Formula, ParseError> {
         let mut lhs = self.parse_unary()?;
-        while matches!(self.peek().map(|l| &l.tok), Some(Tok::And)) {
+        while matches!(self.peek(), Some(Tok::And)) {
             self.next();
             let rhs = self.parse_unary()?;
             lhs = lhs.and(rhs);
@@ -263,12 +266,12 @@ impl Parser {
 
     fn parse_unary(&mut self) -> Result<Formula, ParseError> {
         let span = self.here();
-        match self.next().map(|l| l.tok) {
+        match self.next() {
             Some(Tok::Not) => Ok(self.parse_unary()?.not()),
             Some(Tok::LParen) => {
                 let inner = self.parse_iff()?;
-                let found = self.peek().map(|l| describe(&l.tok));
-                match self.next().map(|l| l.tok) {
+                let found = self.peek().map(describe);
+                match self.next() {
                     Some(Tok::RParen) => Ok(inner),
                     _ => Err(SyntaxError::expected_found("`)`", found, self.here())
                         .with_hint("close the parenthesized group")),
@@ -279,7 +282,7 @@ impl Parser {
             Some(Tok::Ident(name)) => Ok(Formula::atom(name)),
             Some(tok) => Err(SyntaxError::expected_found(
                 "a formula",
-                Some(describe(&tok)),
+                Some(describe(tok)),
                 span,
             )),
             None => Err(SyntaxError::with_kind(
@@ -313,11 +316,11 @@ pub fn parse(input: &str) -> Result<Formula, ParseError> {
         input_len: input.len(),
     };
     let f = p.parse_iff()?;
-    if let Some(extra) = p.peek() {
+    if p.peek().is_some() {
         return Err(SyntaxError::with_kind(
             SyntaxErrorKind::TrailingInput,
             "unexpected trailing input",
-            extra.span,
+            p.here(),
         ));
     }
     Ok(f)

@@ -1,5 +1,7 @@
 # Developer entry points. `just check` is the full local gate;
-# `just ci` mirrors the GitHub workflow jobs exactly.
+# `just ci` mirrors the GitHub workflow jobs exactly; `just perf
+# [workload] [seed]` runs one BENCHMARK.json workload end to end, then
+# traced for its per-layer split.
 
 # Format, lint, test, bench, and regenerate BENCH_graph.json.
 check:
@@ -80,6 +82,15 @@ bench-service:
 # DSL-frontend corpus-ingestion artifact (BENCH_dsl.json).
 bench-dsl:
     cargo run --release -q -p casekit-bench --bin repro dsl
+
+# One BENCHMARK.json workload (ingest, check or session) through the
+# benchmark's own command and run length: the end-to-end metrics at
+# `--trace 0`, then the per-layer split of the same inputs at
+# `--trace 1`. Run it on the parent and on the change for a perf PR's
+# before/after.
+perf workload="ingest" seed="1":
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds 20 --trace 0
+    cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds 20 --trace 1
 
 # Rustdoc for the workspace with warnings denied (the CI docs job).
 docs:

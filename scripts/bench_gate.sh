@@ -20,7 +20,8 @@
 # Override via environment for experiments:
 #   GRAPH_FLOOR, LOGIC_SWEEP_FLOOR, HARD_CDCL_FLOOR, EXPERIMENTS_FLOOR,
 #   AF_FLOOR, AF_GROUNDED_FLOOR, AF_SCC_N_FLOOR, FOL_FLOOR, LTL_FLOOR,
-#   LINT_FLOOR, SERVICE_FLOOR, THREAD_FLOOR, DSL_FLOOR, DSL_MBPS_FLOOR
+#   LINT_FLOOR, SERVICE_FLOOR, THREAD_FLOOR, DSL_FLOOR, DSL_MBPS_FLOOR,
+#   DSL_CLEAN_FLOOR
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -193,6 +194,11 @@ fi
 DSL_MBPS_FLOOR="${DSL_MBPS_FLOOR:-2}"
 require_floor BENCH_dsl.smoke.json speedup "$DSL_FLOOR"
 require_floor BENCH_dsl.smoke.json engine_mb_per_s "$DSL_MBPS_FLOOR"
+# Same work, one thread each: on the clean files both parsers build the
+# same arguments, so the recovering frontend must be at least as fast
+# as the seed there.
+DSL_CLEAN_FLOOR="${DSL_CLEAN_FLOOR:-1.0}"
+require_floor BENCH_dsl.smoke.json clean_speedup "$DSL_CLEAN_FLOOR"
 require_true  BENCH_dsl.smoke.json diagnostics_roundtrip
 
 if [ "$FAILURES" -eq 0 ]; then

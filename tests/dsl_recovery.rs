@@ -8,6 +8,7 @@
 //! point mutations, and keyword-soup concatenations of them.
 
 use casekit::core::dsl::{parse_argument_recovering, parse_argument_seed, ParseOutcome};
+use casekit::core::Argument;
 use proptest::prelude::*;
 
 const KINDS: [&str; 9] = [
@@ -101,6 +102,19 @@ fn check_invariants(src: &str) -> ParseOutcome {
         assert!(d.error.span.start <= d.error.span.end);
         assert!(d.error.span.end <= src.len());
     }
+    // The parser refuses exactly what `Argument::from_parts` refuses:
+    // whatever it recovered rebuilds through the validating constructor
+    // to an equal argument with the same arena order.
+    if let Some(argument) = &out.argument {
+        let rebuilt = Argument::from_parts(
+            argument.name(),
+            argument.arena().to_vec(),
+            argument.edges().to_vec(),
+        )
+        .unwrap_or_else(|e| panic!("recovered an argument from_parts refuses ({e}) on {src:?}"));
+        assert_eq!(&rebuilt, argument);
+        assert_eq!(rebuilt.arena(), argument.arena(), "arena order differs");
+    }
     // Seed agreement: valid files match node-for-node; the seed's abort
     // error always appears in the recovered stream.
     match parse_argument_seed(src) {
@@ -149,6 +163,10 @@ fn fragment() -> impl Strategy<Value = &'static str> {
         Just("# comment"),
         Just("//"),
         Just("\\"),
+        Just("\"esc \\\" aped\""),
+        Just("\"lone \\"),
+        Just("// trailing comment"),
+        Just("\n"),
         Just(""),
     ]
 }
@@ -183,6 +201,8 @@ proptest! {
         ch in prop_oneof![
             Just('"'), Just('{'), Just('}'), Just('#'), Just('\\'),
             Just('$'), Just('q'), Just('9'), Just(' '),
+            Just('é'), Just('☃'), Just('\u{a0}'), Just('\u{2028}'),
+            Just('\r'), Just('/'),
         ],
     ) {
         let src = render(&specs);
