@@ -42,7 +42,7 @@ pub(crate) fn run_all_with(
     pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    pass_non_deductive(argument, theory, sink);
+    pass_non_deductive(argument, theory, pool, sink);
     pass_inconsistent_premises(argument, theory, pool, sink);
     pass_tautological_conclusion(argument, theory, pool, sink);
     pass_unsatisfiable_conclusion(argument, theory, pool, sink);
@@ -61,13 +61,23 @@ fn premise_ids(argument: &Argument, theory: &ArgumentTheory) -> Vec<NodeId> {
         .collect()
 }
 
-/// CK106: formalised steps whose support does not entail the claim.
+/// CK106: formalised steps whose support does not entail the claim —
+/// each step's [`ArgumentTheory::step_question`], asked through the
+/// witness pool, so a long-lived session that already answered a step
+/// pays no second solve.
 pub(crate) fn pass_non_deductive(
     argument: &Argument,
     theory: &mut ArgumentTheory,
+    pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    for idx in theory.non_deductive_step_indices() {
+    for idx in theory.step_indices() {
+        let question = theory
+            .step_question(idx)
+            .expect("step_indices yields only checkable steps");
+        if !pool.check(theory.theory_mut(), &question) {
+            continue; // deductive
+        }
         let related: Vec<NodeId> = theory
             .step_children(idx)
             .unwrap_or(&[])
@@ -168,8 +178,8 @@ pub(crate) fn pass_unsatisfiable_conclusion(
     );
 }
 
-/// CK107: the premises do not entail the conclusion. The same
-/// question as [`ArgumentTheory::root_entailed`] — premises assumed,
+/// CK107: the premises do not entail the conclusion. The root
+/// [`ArgumentTheory::entailment_question`] — premises assumed,
 /// conclusion denied, SAT means a counterexample — asked through the
 /// witness pool.
 pub(crate) fn pass_entailment(
@@ -178,17 +188,15 @@ pub(crate) fn pass_entailment(
     pool: &mut WitnessPool,
     sink: &mut Sink<'_>,
 ) {
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
+    let (Some(question), Some(conclusion_idx)) =
+        (theory.entailment_question(None), theory.conclusion_index())
     else {
         return;
     };
-    let mut assumptions = theory.premise_lits();
-    if assumptions.is_empty() {
+    if theory.premise_lits().is_empty() {
         return;
     }
-    assumptions.push(!conclusion_lit);
-    if !pool.check(theory.theory_mut(), &assumptions) {
+    if !pool.check(theory.theory_mut(), &question) {
         return; // entailed
     }
     let ids = premise_ids(argument, theory);
@@ -216,43 +224,32 @@ pub(crate) fn pass_redundant_premises(
     sink: &mut Sink<'_>,
 ) {
     let premise_lits = theory.premise_lits();
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
+    let (Some(entailment), Some(conclusion_idx)) =
+        (theory.entailment_question(None), theory.conclusion_index())
     else {
         return;
     };
     if premise_lits.is_empty() {
         return;
     }
-    let premise_indices = theory.premise_indices();
-    let session = theory.theory_mut();
-    if !pool.check(session, &premise_lits) {
+    if !pool.check(theory.theory_mut(), &premise_lits) {
         return; // inconsistent: CK101's finding, not a redundancy.
     }
-    let with_denied_conclusion: Vec<Lit> = premise_lits
-        .iter()
-        .copied()
-        .chain([!conclusion_lit])
-        .collect();
-    if pool.check(session, &with_denied_conclusion) {
+    if pool.check(theory.theory_mut(), &entailment) {
         return; // not entailed: CK107's finding.
     }
-    for (i, dropped) in premise_indices.iter().enumerate() {
-        let rest: Vec<Lit> = premise_lits
-            .iter()
-            .enumerate()
-            .filter(|(j, _)| *j != i)
-            .map(|(_, lit)| *lit)
-            .chain([!conclusion_lit])
-            .collect();
-        if !pool.check(session, &rest) {
+    for (i, dropped) in theory.premise_indices().into_iter().enumerate() {
+        let rest = theory
+            .entailment_question(Some(i))
+            .expect("a conclusion was found above");
+        if !pool.check(theory.theory_mut(), &rest) {
             sink.emit(
                 LintCode::RedundantPremise,
-                Some(argument.id_at(*dropped).clone()),
+                Some(argument.id_at(dropped).clone()),
                 vec![argument.id_at(conclusion_idx).clone()],
                 format!(
                     "premise `{}` is idle: the remaining premises already entail the conclusion",
-                    argument.id_at(*dropped)
+                    argument.id_at(dropped)
                 ),
                 Some("drop it, or strengthen the conclusion it was meant to carry".into()),
             );

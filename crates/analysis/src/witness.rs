@@ -24,6 +24,17 @@
 //! witnesses do not cover — [`WitnessPool::covers`] rejects any
 //! assumption over a variable newer than the witness, so stale hits
 //! are impossible.
+//!
+//! The incremental case service keeps one pool per case for the case's
+//! whole life, and routes *every* solver question of a revision through
+//! it: step verdicts, root entailment, every lint pass, and the premise
+//! probe. Recompiling an edited case reuses the literals of unchanged
+//! payloads and the clause database only grows, so an unchanged step,
+//! entailment or drop-probe asks the identical assumption set it asked
+//! before, and the stored model (SAT) or assumption set (UNSAT) answers
+//! it without the solver. Only questions over new literals, or new
+//! combinations of old ones, reach the CDCL core, so the pool is also
+//! the service's step-verdict cache.
 
 use casekit_fallacies::formal::SatOracle;
 use casekit_logic::prop::{Lit, Theory};
@@ -43,7 +54,8 @@ use casekit_logic::prop::{Lit, Theory};
 #[derive(Debug, Default)]
 pub struct WitnessPool {
     witnesses: Vec<Vec<bool>>,
-    /// Assumption sets proven UNSAT, stored as sorted literal codes.
+    /// Assumption sets proven UNSAT, stored as sorted, deduplicated
+    /// literal codes.
     unsat_cores: Vec<Vec<usize>>,
     /// Solver calls actually paid (diagnostic counters for tests).
     solver_calls: usize,
@@ -106,8 +118,12 @@ impl WitnessPool {
             self.witness_hits += 1;
             return true;
         }
+        // Premises that compile to one literal repeat its code; a set
+        // stored with repeats would fail the subset test against every
+        // superset that carries the literal once.
         let mut codes: Vec<usize> = assumptions.iter().map(|l| l.code()).collect();
         codes.sort_unstable();
+        codes.dedup();
         if self
             .unsat_cores
             .iter()
@@ -136,7 +152,8 @@ impl SatOracle for WitnessPool {
     }
 }
 
-/// Whether sorted `needle` is a subset of sorted `haystack`.
+/// Whether sorted, duplicate-free `needle` is a subset of sorted
+/// `haystack`.
 fn is_sorted_subset(needle: &[usize], haystack: &[usize]) -> bool {
     let mut it = haystack.iter();
     needle.iter().all(|n| it.by_ref().any(|h| h == n))
@@ -184,6 +201,22 @@ mod tests {
         assert!(pool.check(&mut t, &[a, b, c]));
         assert_eq!(pool.solver_calls, 1, "one model answers all four");
         assert_eq!(pool.witness_hits, 3);
+    }
+
+    #[test]
+    fn repeated_literals_still_subsume_supersets() {
+        let mut t = theory_of(&["p -> ~r"]);
+        let p = t.formula_lit(&parse("p").unwrap());
+        let q = t.formula_lit(&parse("q").unwrap());
+        let r = t.formula_lit(&parse("r").unwrap());
+        let mut pool = WitnessPool::new();
+        // Two premises sharing the literal `p`, plus `r`: UNSAT.
+        assert!(!pool.check(&mut t, &[p, p, r]));
+        assert_eq!(pool.solver_calls, 1);
+        // A superset carrying `p` once is UNSAT by subsumption alone.
+        assert!(!pool.check(&mut t, &[q, p, r]));
+        assert_eq!(pool.solver_calls, 1, "the stored set subsumes it");
+        assert_eq!(pool.witness_hits, 1);
     }
 
     #[test]

@@ -167,7 +167,9 @@ pub fn interned_sweep(argument: &Argument) -> SweepVerdict {
         .collect();
     let root_entailed = theory.root_entailed();
     let critical = if root_entailed == Some(true) {
-        let report = theory.probe().expect("entailed implies a conclusion");
+        let report = theory
+            .probe(argument)
+            .expect("entailed implies a conclusion");
         report.impacts.iter().map(|i| i.is_critical()).collect()
     } else {
         Vec::new()

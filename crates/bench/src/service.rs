@@ -12,10 +12,10 @@
 //! source. The service arm is [`CaseService::drive`]: each case keeps
 //! its compiled session alive across the stream — a persistent CDCL
 //! session whose learned clauses and payload literals survive edits,
-//! a witness pool reusing models across questions and revisions, a
-//! dirty-tracked step-verdict cache, and an answer bundle that makes
-//! repeat queries free — with the per-case streams sharded across
-//! `casekit-runtime` workers.
+//! a witness pool answering every solver question — step verdicts
+//! included — from the models and UNSAT sets of earlier questions and
+//! revisions, and an answer bundle that makes repeat queries free —
+//! with the per-case streams sharded across `casekit-runtime` workers.
 //!
 //! `bench_service_json` emits the comparison as `BENCH_service.json`
 //! (via `repro service`), with every incremental answer cross-checked
@@ -78,9 +78,9 @@ pub fn smoke_config() -> ServiceBenchConfig {
 /// goals, each branch goal in turn argued from its own premise chain
 /// (the [`crate::lint`] chain generator, so formula scale matches the
 /// lint substrate). Each branch is its own deductive step, which is
-/// what makes dirty tracking measurable: editing one premise
-/// re-verifies one branch and reuses the rest from the step-verdict
-/// cache. Case `k` additionally carries a light defect mix (duplicate
+/// what makes step reuse measurable: editing one premise re-verifies
+/// one branch and answers the rest from the witness pool. Case `k`
+/// additionally carries a light defect mix (duplicate
 /// evidence, an undeveloped side claim) so the lint plane answers more
 /// than a clean stream.
 pub fn service_corpus(config: &ServiceBenchConfig) -> Vec<Argument> {
@@ -266,7 +266,7 @@ pub struct ServiceBenchReport {
     pub thread_speedup: f64,
     /// Support-step verdicts paid to the solver across the serial run.
     pub steps_checked: u64,
-    /// Step verdicts answered from the dirty-tracked cache.
+    /// Step verdicts the witness pool answered without the solver.
     pub steps_reused: u64,
     /// Queries answered entirely from cached answer bundles.
     pub cached_answers: u64,

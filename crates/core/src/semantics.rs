@@ -23,7 +23,7 @@
 use crate::argument::{Argument, NodeIdx};
 use crate::node::{EdgeKind, FormalPayload, NodeId, NodeKind};
 use casekit_logic::probe::{PremiseImpact, ProbeReport};
-use casekit_logic::prop::{Atom, Formula, Lit, Theory};
+use casekit_logic::prop::{Formula, Lit, Theory};
 use std::collections::{BTreeSet, HashMap};
 
 /// The formal premises of an argument: the propositional payloads of its
@@ -92,40 +92,6 @@ fn formalised_support_children(argument: &Argument, idx: NodeIdx) -> Vec<NodeIdx
         }
     }
     out
-}
-
-/// Parents of the support steps an edit to `touched` can affect: the
-/// touched node itself plus every formalised ancestor that reaches it
-/// through `SupportedBy` edges crossing only unformalised strategies
-/// (the exact paths `formalised_support_children` recurses through).
-/// An editor that changed one premise re-verifies only these steps; all
-/// other step verdicts are untouched by construction, because a step's
-/// truth depends only on its parent payload and the payloads of its
-/// formalised support children.
-pub fn affected_step_parents(
-    argument: &Argument,
-    touched: impl IntoIterator<Item = NodeIdx>,
-) -> BTreeSet<NodeIdx> {
-    let mut affected = BTreeSet::new();
-    let mut stack: Vec<NodeIdx> = touched.into_iter().collect();
-    // Every touched node is itself a candidate step parent.
-    affected.extend(stack.iter().copied());
-    while let Some(idx) = stack.pop() {
-        for parent in argument.parents_by_kind_idx(idx, EdgeKind::SupportedBy) {
-            let node = argument.node_at(parent);
-            if node.is_formalised() {
-                // A formalised parent anchors a step; the chain stops
-                // here because grandparent steps see only this parent's
-                // payload, which the edit did not change.
-                affected.insert(parent);
-            } else if node.kind == NodeKind::Strategy && affected.insert(parent) {
-                // Unformalised strategies are transparent to
-                // `formalised_support_children`; keep climbing.
-                stack.push(parent);
-            }
-        }
-    }
-    affected
 }
 
 /// Per-node memo of compiled payload literals for
@@ -297,9 +263,6 @@ pub struct ArgumentTheory {
     /// Formal leaves in sorted-id order, with their payload literals.
     premises: Vec<(NodeIdx, Lit)>,
     conclusion: Option<(NodeIdx, Lit)>,
-    /// Atoms of the premise and conclusion payloads, for counterexample
-    /// valuations.
-    probe_atoms: BTreeSet<Atom>,
 }
 
 impl ArgumentTheory {
@@ -400,34 +363,17 @@ impl ArgumentTheory {
             });
         }
         // Premises (formal leaves, sorted order) and conclusion.
-        let mut probe_atoms = BTreeSet::new();
-        let mut premises = Vec::new();
-        for idx in argument.sorted_indices() {
-            let node = argument.node_at(idx);
-            if !node.is_formalised() || !formalised_support_children(argument, idx).is_empty() {
-                continue;
-            }
-            if let (Some(lit), Some(FormalPayload::Prop(f))) = (lits[idx.index()], &node.formal) {
-                premises.push((idx, lit));
-                probe_atoms.extend(f.atoms());
-            }
-        }
-        let conclusion =
-            argument
-                .sorted_roots_idx()
-                .find_map(|idx| match &argument.node_at(idx).formal {
-                    Some(FormalPayload::Prop(f)) => {
-                        probe_atoms.extend(f.atoms());
-                        lits[idx.index()].map(|lit| (idx, lit))
-                    }
-                    _ => None,
-                });
+        let premises = formal_premise_indices(argument)
+            .into_iter()
+            .filter_map(|idx| lits[idx.index()].map(|lit| (idx, lit)))
+            .collect();
+        let conclusion = formal_conclusion_index(argument)
+            .and_then(|idx| lits[idx.index()].map(|lit| (idx, lit)));
         ArgumentTheory {
             theory,
             steps,
             premises,
             conclusion,
-            probe_atoms,
         }
     }
 
@@ -485,28 +431,57 @@ impl ArgumentTheory {
         &mut self.theory
     }
 
+    /// The question behind the support step into `idx`: its children's
+    /// literals assumed, the parent's denied. Unsatisfiable exactly when
+    /// the step is deductive. `None` when the step is not checkable.
+    ///
+    /// Every consumer of step verdicts (the machine check, CK106, the
+    /// incremental service) asks this same assumption set, so a cache
+    /// keyed on assumption sets answers all of them after the first.
+    pub fn step_question(&self, idx: NodeIdx) -> Option<Vec<Lit>> {
+        // Steps are built in arena order, so parents are sorted.
+        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
+        let step = &self.steps[i];
+        Some(
+            step.child_lits
+                .iter()
+                .copied()
+                .chain([!step.parent_lit])
+                .collect(),
+        )
+    }
+
+    /// The entailment question: every premise but the `skip`-th
+    /// assumed, the conclusion denied. Unsatisfiable exactly when those
+    /// premises entail the conclusion; `skip = None` is the root
+    /// entailment, `Some(i)` Rushby's drop-probe of premise `i`. `None`
+    /// when there is no formal conclusion.
+    pub fn entailment_question(&self, skip: Option<usize>) -> Option<Vec<Lit>> {
+        let (_, conclusion_lit) = self.conclusion?;
+        Some(
+            self.premises
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| Some(*i) != skip)
+                .map(|(_, &(_, lit))| lit)
+                .chain([!conclusion_lit])
+                .collect(),
+        )
+    }
+
     /// Whether the support step into `idx` is deductively valid (`None`
     /// when the step is not checkable).
     pub fn step_is_deductive(&mut self, idx: NodeIdx) -> Option<bool> {
-        // Steps are built in arena order, so parents are sorted.
-        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
-        Some(Self::check_step(&mut self.theory, &self.steps[i]))
+        let question = self.step_question(idx)?;
+        Some(!self.theory.check_under(question))
     }
 
     /// Parents of every non-deductive formalised step, in arena order.
     pub fn non_deductive_step_indices(&mut self) -> Vec<NodeIdx> {
-        let mut out = Vec::new();
-        for i in 0..self.steps.len() {
-            if !Self::check_step(&mut self.theory, &self.steps[i]) {
-                out.push(self.steps[i].parent);
-            }
-        }
-        out
-    }
-
-    fn check_step(theory: &mut Theory, step: &Step) -> bool {
-        let assumptions = step.child_lits.iter().copied().chain([!step.parent_lit]);
-        !theory.check_under(assumptions)
+        self.step_indices()
+            .into_iter()
+            .filter(|&idx| self.step_is_deductive(idx) == Some(false))
+            .collect()
     }
 
     /// Whether the formal premises entail the formal conclusion (`None`
@@ -515,42 +490,37 @@ impl ArgumentTheory {
         if self.premises.is_empty() {
             return None;
         }
-        self.conclusion?;
-        Some(self.root_counterexample(None).is_none())
-    }
-
-    /// A model of the premises (minus `skip`) that falsifies the
-    /// conclusion, if entailment fails.
-    fn root_counterexample(
-        &mut self,
-        skip: Option<usize>,
-    ) -> Option<casekit_logic::prop::Valuation> {
-        let (_, conclusion_lit) = self.conclusion.expect("caller checked conclusion");
-        let assumptions: Vec<Lit> = self
-            .premises
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| Some(*i) != skip)
-            .map(|(_, &(_, lit))| lit)
-            .chain([!conclusion_lit])
-            .collect();
-        self.theory
-            .model_under(assumptions, self.probe_atoms.iter())
+        let question = self.entailment_question(None)?;
+        Some(!self.theory.check_under(question))
     }
 
     /// Rushby's what-if probe over the formal skeleton: the root
     /// entailment check plus one removal check per premise, all in this
-    /// session. `None` when there is no formal conclusion.
-    pub fn probe(&mut self) -> Option<ProbeReport> {
-        self.conclusion?;
-        if self.root_counterexample(None).is_some() {
+    /// session, each failed entailment with its counterexample over the
+    /// atoms of `argument`'s premise and conclusion payloads. `argument`
+    /// must be the argument this session was compiled from. `None` when
+    /// there is no formal conclusion.
+    pub fn probe(&mut self, argument: &Argument) -> Option<ProbeReport> {
+        let (conclusion_idx, _) = self.conclusion?;
+        let mut atoms = BTreeSet::new();
+        for idx in self.premise_indices().into_iter().chain([conclusion_idx]) {
+            if let Some(FormalPayload::Prop(f)) = &argument.node_at(idx).formal {
+                atoms.extend(f.atoms());
+            }
+        }
+        let premises = self.premises.len();
+        let mut counterexample = |skip| {
+            let question = self.entailment_question(skip)?;
+            self.theory.model_under(question, atoms.iter())
+        };
+        if counterexample(None).is_some() {
             return Some(ProbeReport {
                 entailed: false,
                 impacts: Vec::new(),
             });
         }
-        let impacts = (0..self.premises.len())
-            .map(|i| match self.root_counterexample(Some(i)) {
+        let impacts = (0..premises)
+            .map(|i| match counterexample(Some(i)) {
                 None => PremiseImpact::Idle,
                 Some(v) => PremiseImpact::Critical(v),
             })
@@ -655,7 +625,7 @@ pub fn non_deductive_steps(argument: &Argument) -> Vec<NodeId> {
 /// Returns `None` when the argument has no formal conclusion. One theory
 /// compilation, `premises + 1` solver checks.
 pub fn probe_argument(argument: &Argument) -> Option<ProbeReport> {
-    ArgumentTheory::compile(argument).probe()
+    ArgumentTheory::compile(argument).probe(argument)
 }
 
 #[cfg(test)]
@@ -713,7 +683,7 @@ mod tests {
         assert_eq!(theory.root_entailed(), Some(true));
         assert_eq!(theory.premise_indices().len(), 2);
         assert_eq!(theory.conclusion_index(), Some(g1));
-        let report = theory.probe().unwrap();
+        let report = theory.probe(&a).unwrap();
         assert!(report.entailed);
         assert_eq!(report.critical_indices(), vec![0, 1]);
         // Answers are stable across repeated questions (assumptions are
@@ -849,7 +819,7 @@ mod tests {
         let mut s2 = cache.session(0);
         assert_eq!(s1.root_entailed(), Some(true));
         assert_eq!(s2.root_entailed(), Some(true));
-        assert_eq!(s1.probe().unwrap().critical_indices(), vec![0, 1]);
+        assert_eq!(s1.probe(&a).unwrap().critical_indices(), vec![0, 1]);
     }
 
     #[test]
@@ -912,9 +882,9 @@ mod tests {
         assert_eq!(stats.fresh_payloads, 1);
         assert_eq!(inc.root_entailed(), Some(true));
         assert_eq!(
-            inc.probe().unwrap().critical_indices(),
+            inc.probe(&a).unwrap().critical_indices(),
             ArgumentTheory::compile(&a)
-                .probe()
+                .probe(&a)
                 .unwrap()
                 .critical_indices()
         );
@@ -948,33 +918,5 @@ mod tests {
         assert_eq!(cache.len(), 2);
         // Without the rule, modus ponens no longer closes.
         assert_eq!(inc.root_entailed(), Some(false));
-    }
-
-    #[test]
-    fn affected_step_parents_climbs_through_unformalised_strategies_only() {
-        let a = deductive_case();
-        let g3 = a.node_idx(&"g3".into()).unwrap();
-        let s1 = a.node_idx(&"s1".into()).unwrap();
-        let g1 = a.node_idx(&"g1".into()).unwrap();
-        // Touching the `p` premise reaches g1's step through the
-        // transparent strategy s1.
-        let affected = affected_step_parents(&a, [g3]);
-        assert_eq!(affected, BTreeSet::from([g3, s1, g1]));
-        // A formalised parent stops the climb: stack another goal above
-        // g1 and confirm a g3 edit never reaches it.
-        let mut nodes: Vec<Node> = a.arena().to_vec();
-        nodes.push(Node::new("g0", NodeKind::Goal, "top").with_formal(payload("q | z")));
-        let mut edges: Vec<_> = a.edges().to_vec();
-        edges.push(crate::argument::Edge {
-            from: "g0".into(),
-            to: "g1".into(),
-            kind: EdgeKind::SupportedBy,
-        });
-        let tall = Argument::from_parts("tall", nodes, edges).unwrap();
-        let g3t = tall.node_idx(&"g3".into()).unwrap();
-        let g0t = tall.node_idx(&"g0".into()).unwrap();
-        let affected = affected_step_parents(&tall, [g3t]);
-        assert!(affected.contains(&tall.node_idx(&"g1".into()).unwrap()));
-        assert!(!affected.contains(&g0t), "formalised parents stop the walk");
     }
 }

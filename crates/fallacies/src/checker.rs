@@ -8,7 +8,7 @@
 //! system itself enforces the paper's §IV-C claim that machine checking
 //! cannot return informal-fallacy findings.
 
-use crate::formal;
+use crate::formal::{self, SatOracle, SolverOracle};
 use crate::taxonomy::FormalFallacy;
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, NodeId};
@@ -94,14 +94,32 @@ pub fn check_argument(argument: &Argument) -> MachineReport {
 /// construction. Checks fully retract their assumptions, so one session
 /// can serve any number of calls.
 pub fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineReport {
+    check_compiled_with(argument, theory, &mut SolverOracle)
+}
+
+/// [`check_compiled`] with every solver question — each step verdict,
+/// the root entailment and the fallacy detectors — answered by
+/// `oracle`. Callers that keep a satisfiability cache across questions
+/// (the incremental case service's witness pool) pass it here; the
+/// report is identical for every conforming oracle.
+pub fn check_compiled_with(
+    argument: &Argument,
+    theory: &mut ArgumentTheory,
+    oracle: &mut dyn SatOracle,
+) -> MachineReport {
     let premises = formal_premises(argument);
     let conclusion = formal_conclusion(argument);
     let formal_nodes = argument.formalised_count();
     let mut findings = Vec::new();
-    for idx in theory.non_deductive_step_indices() {
-        findings.push(MachineFinding::NonDeductiveStep {
-            node: argument.node_at(idx).id.clone(),
-        });
+    for idx in theory.step_indices() {
+        let question = theory
+            .step_question(idx)
+            .expect("step_indices yields only checkable steps");
+        if oracle.sat_check(theory.theory_mut(), &question) {
+            findings.push(MachineFinding::NonDeductiveStep {
+                node: argument.id_at(idx).clone(),
+            });
+        }
     }
 
     let checkable = match (&conclusion, premises.is_empty()) {
@@ -110,29 +128,32 @@ pub fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> Machi
     };
 
     if let Some(conclusion) = conclusion {
-        if !premises.is_empty() {
-            if theory.root_entailed() == Some(false) {
+        // A formal conclusion always compiles to a literal; if it ever
+        // did not, skip these questions rather than panic.
+        if let (false, Some(question), Some(conclusion_lit)) = (
+            premises.is_empty(),
+            theory.entailment_question(None),
+            theory.conclusion_lit(),
+        ) {
+            if oracle.sat_check(theory.theory_mut(), &question) {
                 findings.push(MachineFinding::ConclusionNotEntailed);
             }
             // The detectors reuse the argument's compiled literals
             // (premise/conclusion lists are aligned by construction) —
-            // still one Tseitin pass per argument. A formal conclusion
-            // always compiles to a literal; if it ever did not, skip
-            // the detectors rather than panic.
+            // still one Tseitin pass per argument.
             let premise_lits = theory.premise_lits();
-            if let Some(conclusion_lit) = theory.conclusion_lit() {
-                for finding in formal::detect_all_compiled(
-                    theory.theory_mut(),
-                    premise_lits,
-                    conclusion_lit,
-                    &premises,
-                    conclusion,
-                ) {
-                    findings.push(MachineFinding::Fallacy {
-                        fallacy: finding.fallacy,
-                        detail: finding.detail,
-                    });
-                }
+            for finding in formal::detect_all_compiled_with(
+                theory.theory_mut(),
+                oracle,
+                premise_lits,
+                conclusion_lit,
+                &premises,
+                conclusion,
+            ) {
+                findings.push(MachineFinding::Fallacy {
+                    fallacy: finding.fallacy,
+                    detail: finding.detail,
+                });
             }
         }
     }

@@ -3,8 +3,8 @@
 //! Everything else in the toolkit is batch: edit an argument, recompile
 //! the whole theory, re-answer every question. This crate is the
 //! interactive counterpart — a [`CaseService`] that keeps each case's
-//! compiled state alive between edits and re-verifies only what an
-//! edit can actually change.
+//! compiled state alive between edits and asks the solver only what an
+//! edit actually changed.
 //!
 //! # Architecture
 //!
@@ -26,25 +26,39 @@
 //!   reuses every
 //!   unchanged payload's literal verbatim);
 //! * the analysis [`WitnessPool`](casekit_analysis::WitnessPool) —
-//!   models found answering one revision's satisfiability questions
-//!   keep answering the next revision's (stored witnesses bound-check
-//!   away variables newer than themselves, so stale hits are
-//!   impossible).
+//!   the models and UNSAT assumption sets found answering one
+//!   revision's questions keep answering the next revision's (stored
+//!   witnesses bound-check away variables newer than themselves, so
+//!   stale hits are impossible).
 //!
-//! **Dirty-step tracking.** A support step's verdict depends only on
-//! its parent payload and its formalised support children, so editing
-//! one premise invalidates exactly the steps returned by
-//! [`affected_step_parents`](casekit_core::semantics::affected_step_parents)
-//! — the edited node plus the formalised ancestors that reach it
-//! through unformalised strategies. Every other step verdict is reused
-//! from the per-session cache; the machine report still lists findings
-//! in the exact order of the batch checker.
+//! **One question plane per revision.** Every solver question
+//! [`CaseSession::answers`] asks — each support step's verdict, the root
+//! entailment, every lint pass, and the premise probe's drop-probes —
+//! is an assumption set over the compiled literals, built by one
+//! `ArgumentTheory` method
+//! ([`step_question`](casekit_core::semantics::ArgumentTheory::step_question),
+//! [`entailment_question`](casekit_core::semantics::ArgumentTheory::entailment_question))
+//! and answered through the session's one pool. A question two
+//! consumers share reaches the CDCL core once. The pool also replaces a
+//! step-verdict cache: recompiling an edited case keeps the literal of
+//! every unchanged payload, so an unchanged step asks the identical
+//! assumption set it asked before, and the stored witness (SAT) or
+//! assumption set (UNSAT) answers it.
+//! That is sound because the clause database only grows: a stored
+//! model still satisfies every clause it was checked against and
+//! extends to any later definition, a set that was UNSAT stays UNSAT
+//! under added clauses, and a witness never answers a question over a
+//! variable newer than itself. Only questions over new literals, or
+//! new combinations of old ones, pay a solve —
+//! [`SessionStats::solver_calls`] counts them, and the machine report
+//! still lists findings in the exact order of the batch checker.
 //!
 //! **Conservative invalidation.** Replaced payloads strand their old
 //! definitional clauses as garbage; when the stranded cost outweighs
 //! the live cost the session performs whole-theory invalidation — a
 //! fresh compile with a cleared payload cache and witness pool — which
-//! is always sound and bounds memory growth under heavy editing.
+//! is always sound and bounds memory growth under heavy editing. The
+//! first query after it pays every question again.
 //!
 //! **Batched questions.** [`CaseSession::answers`] returns the machine
 //! check, the full CaseLint diagnostic stream, and the premise probe
@@ -76,7 +90,7 @@
 //! let mut service = CaseService::new();
 //! let case = service.open(argument);
 //! assert!(service.answers(case).unwrap().machine.is_clean());
-//! // Break the rule: only g1's step is re-verified.
+//! // Break the rule: only questions over its new literal reach the solver.
 //! service.apply(case, &EditOp::ReplaceFormula {
 //!     node: "g2".into(),
 //!     formula: parse("p -> r").unwrap(),
@@ -185,7 +199,8 @@ impl CaseService {
     }
 
     /// The batched answers for `case` — machine check, lint stream,
-    /// probe classification — recompiling only what edits dirtied.
+    /// probe classification — recompiling only the payloads edits
+    /// changed.
     pub fn answers(&mut self, case: usize) -> Option<CaseAnswers> {
         self.sessions.get_mut(case).map(CaseSession::answers)
     }
@@ -357,13 +372,82 @@ mod tests {
             .unwrap();
         assert_agrees(&mut service, case);
         let stats = service.session(case).unwrap().stats();
-        // The b-branch steps (gb, gb1's chain) and the untouched root
-        // pieces answer from cache; only the dirtied a-chain re-checks.
+        // The b-branch step and the root step ask the questions they
+        // asked before and answer from the witness pool; only the step
+        // over the edited premise's new literal reaches the solver.
         assert!(stats.steps_reused > 0, "stats: {stats:?}");
         assert!(
             stats.steps_checked < 2 * checked_cold,
             "edit re-checked everything: {stats:?}"
         );
+    }
+
+    #[test]
+    fn set_text_then_answers_pays_no_solver_calls() {
+        let mut service = CaseService::new();
+        let case = service.open(mp_case());
+        assert_agrees(&mut service, case);
+        let cold = service.session(case).unwrap().stats();
+        assert!(cold.solver_calls > 0, "stats: {cold:?}");
+        service
+            .apply(
+                case,
+                &EditOp::SetText {
+                    node: "g1".into(),
+                    text: "All outputs are checked".into(),
+                },
+            )
+            .unwrap();
+        assert_agrees(&mut service, case);
+        let warm = service.session(case).unwrap().stats();
+        // Machine check, lint stream and probe were all recomputed, and
+        // every question they asked was answered from the pool.
+        assert_eq!(warm.solver_calls, cold.solver_calls, "stats: {warm:?}");
+        assert_eq!(warm.steps_checked, cold.steps_checked);
+        assert!(warm.steps_reused > cold.steps_reused);
+    }
+
+    #[test]
+    fn formula_edit_pays_only_for_questions_over_new_literals() {
+        let mut service = CaseService::new();
+        let case = service.open(two_branch_case());
+        assert_agrees(&mut service, case);
+        let before = service.session(case).unwrap().stats();
+        let edit = |service: &mut CaseService, formula: &str| {
+            service
+                .apply(
+                    case,
+                    &EditOp::ReplaceFormula {
+                        node: "gb2".into(),
+                        formula: parse(formula).unwrap(),
+                    },
+                )
+                .unwrap();
+            assert_agrees(service, case);
+            service.session(case).unwrap().stats()
+        };
+        // A fresh atom: only questions over its literal reach the
+        // solver — the step into gb, not those into ga or g1 — and
+        // fewer of them than a cold session pays on the same revision.
+        let fresh = edit(&mut service, "z");
+        assert_eq!(fresh.steps_checked - before.steps_checked, 1);
+        assert_eq!(fresh.steps_reused - before.steps_reused, 2);
+        let paid = fresh.solver_calls - before.solver_calls;
+        assert!(paid > 0);
+        let mut cold = CaseService::new();
+        let cold_case = cold.open(service.session(case).unwrap().argument().clone());
+        cold.answers(cold_case).unwrap();
+        assert!(
+            paid < cold.session(cold_case).unwrap().stats().solver_calls,
+            "paid {paid}"
+        );
+        // Back to the original atom: every literal is an old one and
+        // every question was asked at the first revision, so nothing
+        // reaches the solver.
+        let restored = edit(&mut service, "y");
+        assert_eq!(restored.solver_calls, fresh.solver_calls, "{restored:?}");
+        assert_eq!(restored.steps_checked, fresh.steps_checked);
+        assert_eq!(restored.steps_reused - fresh.steps_reused, 3);
     }
 
     #[test]

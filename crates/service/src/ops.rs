@@ -10,15 +10,15 @@ use std::fmt;
 
 /// One edit to a live case.
 ///
-/// Formula and structural edits dirty the affected support steps and
-/// invalidate the logical answer caches; [`SetText`](EditOp::SetText)
-/// touches no formal content and invalidates only the lint stream.
+/// Formula and structural edits mark the compilation stale (the next
+/// query recompiles incrementally); [`SetText`](EditOp::SetText)
+/// touches no formal content and invalidates only the answer bundle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EditOp {
     /// Replace (or install) the propositional payload of a node. This
     /// is `set_premise` when aimed at a formal leaf and
-    /// `replace_formula` anywhere else — the dirty-set machinery makes
-    /// no distinction.
+    /// `replace_formula` anywhere else — the session makes no
+    /// distinction.
     ReplaceFormula {
         /// The node whose payload changes.
         node: NodeId,
@@ -95,7 +95,10 @@ impl From<ArgumentError> for EditError {
 /// valid) counterexample valuations for a critical premise, so the
 /// service answers with the classification — entailment plus the
 /// critical/idle partition in premise order — which is the part the
-/// solver's model choices cannot perturb.
+/// solver's model choices cannot perturb. A live session builds it
+/// straight from entailment verdicts answered through its witness pool;
+/// [`From<&ProbeReport>`](ProbeAnswer::from) reads it off a batch
+/// probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeAnswer {
     /// Whether the full premise set entails the conclusion.

@@ -1,17 +1,12 @@
 //! One live case: the argument, its persistent compiled state, and the
-//! dirty-tracking that makes edits cheap.
+//! witness pool that answers each solver question once.
 
 use crate::ops::{CaseAnswers, EditError, EditOp, ProbeAnswer};
 use casekit_analysis::{lint_argument, lint_compiled_with_pool, LintConfig, WitnessPool};
-use casekit_core::semantics::{
-    affected_step_parents, formal_conclusion, formal_premises, probe_argument, ArgumentTheory,
-    PayloadCache,
-};
+use casekit_core::semantics::{probe_argument, ArgumentTheory, PayloadCache};
 use casekit_core::{Argument, Edge, EdgeKind, FormalPayload, Node, NodeId};
-use casekit_fallacies::checker::{check_argument, MachineFinding, MachineReport};
-use casekit_fallacies::formal;
+use casekit_fallacies::checker::{check_argument, check_compiled_with};
 use casekit_logic::prop::{Formula, Theory};
-use std::collections::HashMap;
 
 /// Below this many live payload variables, garbage never triggers a
 /// whole-theory rebuild — tiny cases churn freely without compaction.
@@ -31,21 +26,25 @@ pub struct SessionStats {
     pub recompiles: u64,
     /// Whole-theory invalidations (garbage compaction fallback).
     pub full_rebuilds: u64,
-    /// Support-step verdicts answered by the solver.
+    /// Support-step verdicts that reached the CDCL core.
     pub steps_checked: u64,
-    /// Support-step verdicts reused from the dirty-tracked cache.
+    /// Support-step verdicts the witness pool answered without it.
     pub steps_reused: u64,
     /// Queries answered entirely from the cached answer bundle.
     pub cached_answers: u64,
+    /// CDCL calls the session's witness pool paid, over every question
+    /// [`CaseSession::answers`] asked (step verdicts, root entailment,
+    /// lint passes, premise probe).
+    pub solver_calls: u64,
 }
 
 /// A long-lived session over one case.
 ///
 /// Owns the current [`Argument`] revision plus the compiled state that
 /// persists across edits: the CDCL session (learned clauses included),
-/// the payload-literal cache, the analysis witness pool, and the
-/// per-step verdict cache. See the crate docs for the soundness
-/// argument behind each retention.
+/// the payload-literal cache, and the analysis witness pool every solver
+/// question goes through. See the crate docs for the soundness argument
+/// behind each retention.
 #[derive(Debug)]
 pub struct CaseSession {
     argument: Argument,
@@ -55,9 +54,6 @@ pub struct CaseSession {
     theory: Option<ArgumentTheory>,
     cache: PayloadCache,
     pool: WitnessPool,
-    /// Cached per-step verdicts keyed by the step's parent node id
-    /// (ids survive the arena reindexing of structural edits).
-    step_verdicts: HashMap<NodeId, bool>,
     /// Answer bundle for the current revision, valid until the next
     /// edit.
     answers: Option<CaseAnswers>,
@@ -76,7 +72,6 @@ impl CaseSession {
             theory: None,
             cache: PayloadCache::default(),
             pool: WitnessPool::new(),
-            step_verdicts: HashMap::new(),
             answers: None,
             logic_dirty: true,
             stats: SessionStats::default(),
@@ -90,7 +85,10 @@ impl CaseSession {
 
     /// Lifetime counters for this session.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        SessionStats {
+            solver_calls: self.pool.solver_calls() as u64,
+            ..self.stats
+        }
     }
 
     /// Applies one edit.
@@ -103,17 +101,13 @@ impl CaseSession {
         }
     }
 
-    /// Replaces (or installs) the propositional payload of `node`.
-    /// Dirties only the support steps the payload participates in.
+    /// Replaces (or installs) the propositional payload of `node`. Only
+    /// the questions over its new literal reach the solver on the next
+    /// query; every other one is answered from the witness pool.
     pub fn replace_formula(&mut self, node: &NodeId, formula: Formula) -> Result<(), EditError> {
-        let idx = self
-            .argument
-            .node_idx(node)
-            .ok_or_else(|| EditError::UnknownNode(node.clone()))?;
-        self.dirty_steps_from(idx);
         self.argument
             .node_mut(node)
-            .expect("node_idx proved the node exists")
+            .ok_or_else(|| EditError::UnknownNode(node.clone()))?
             .formal = Some(FormalPayload::Prop(formula));
         self.invalidate_logic();
         Ok(())
@@ -135,47 +129,37 @@ impl CaseSession {
             .ok_or_else(|| EditError::UnknownNode(node.clone()))?;
         target.text = text;
         // The solver state is untouched (`logic_dirty` stays false);
-        // the next query re-runs only the lint passes, against warm
-        // step-verdict and witness caches.
+        // the next query asks only questions the witness pool has
+        // already answered.
         self.answers = None;
         self.stats.edits += 1;
         Ok(())
     }
 
     /// Adds `node` supporting `parent`. Structural: the argument is
-    /// rebuilt (revalidated) and the new step chain is dirtied.
+    /// rebuilt (revalidated) and recompiled on the next query.
     pub fn add_support(&mut self, parent: &NodeId, node: Node) -> Result<(), EditError> {
         if self.argument.node_idx(parent).is_none() {
             return Err(EditError::UnknownNode(parent.clone()));
         }
-        let node_id = node.id.clone();
-        let mut nodes = self.argument.arena().to_vec();
-        nodes.push(node);
         let mut edges = self.argument.edges().to_vec();
         edges.push(Edge {
             from: parent.clone(),
-            to: node_id.clone(),
+            to: node.id.clone(),
             kind: EdgeKind::SupportedBy,
         });
+        let mut nodes = self.argument.arena().to_vec();
+        nodes.push(node);
         self.argument = Argument::from_parts(self.argument.name(), nodes, edges)?;
-        let idx = self
-            .argument
-            .node_idx(&node_id)
-            .expect("the node was just added");
-        self.dirty_steps_from(idx);
         self.invalidate_logic();
         Ok(())
     }
 
     /// Removes `node` and every edge incident to it.
     pub fn remove_node(&mut self, node: &NodeId) -> Result<(), EditError> {
-        let idx = self
-            .argument
-            .node_idx(node)
-            .ok_or_else(|| EditError::UnknownNode(node.clone()))?;
-        // Dirty the steps that lose a child — computed on the old
-        // structure, recorded as ids, which survive the rebuild.
-        self.dirty_steps_from(idx);
+        if self.argument.node_idx(node).is_none() {
+            return Err(EditError::UnknownNode(node.clone()));
+        }
         let nodes: Vec<Node> = self
             .argument
             .arena()
@@ -191,13 +175,16 @@ impl CaseSession {
             .cloned()
             .collect();
         self.argument = Argument::from_parts(self.argument.name(), nodes, edges)?;
-        self.step_verdicts.remove(node);
         self.invalidate_logic();
         Ok(())
     }
 
     /// The batched answers for the current revision: machine check,
     /// lint stream, probe classification. Cached until the next edit.
+    ///
+    /// Every solver question goes through the session's witness pool,
+    /// so a question asked twice — by two consumers in this revision, or
+    /// unchanged since an earlier one — reaches the CDCL core once.
     pub fn answers(&mut self) -> CaseAnswers {
         self.stats.queries += 1;
         if let Some(answers) = &self.answers {
@@ -205,13 +192,28 @@ impl CaseSession {
             return answers.clone();
         }
         self.flush();
-        let machine = self.compute_machine();
         let theory = self
             .theory
             .as_mut()
             .expect("flush leaves a live compilation");
+        // Step verdicts first, so the counters see which ones reached
+        // the solver; the machine check and CK106 then ask the same
+        // questions and hit the pool.
+        for idx in theory.step_indices() {
+            let question = theory
+                .step_question(idx)
+                .expect("step_indices yields only checkable steps");
+            let calls = self.pool.solver_calls();
+            self.pool.check(theory.theory_mut(), &question);
+            if self.pool.solver_calls() > calls {
+                self.stats.steps_checked += 1;
+            } else {
+                self.stats.steps_reused += 1;
+            }
+        }
+        let machine = check_compiled_with(&self.argument, theory, &mut self.pool);
         let lint = lint_compiled_with_pool(&self.argument, theory, &mut self.pool, &self.config);
-        let probe = theory.probe().map(|report| ProbeAnswer::from(&report));
+        let probe = probe_answer(theory, &mut self.pool);
         let answers = CaseAnswers {
             machine,
             lint,
@@ -222,21 +224,13 @@ impl CaseSession {
     }
 
     /// Forces whole-theory invalidation: the next query compiles fresh,
-    /// with an empty payload cache and witness pool. Step verdicts are
-    /// kept — they are facts about formulas, not encodings.
+    /// with an empty payload cache and witness pool.
     pub fn compact(&mut self) {
         self.theory = None;
         self.cache = PayloadCache::default();
         self.pool.clear();
         self.logic_dirty = true;
         self.stats.full_rebuilds += 1;
-    }
-
-    /// Drops the verdicts of every step an edit at `idx` can affect.
-    fn dirty_steps_from(&mut self, idx: casekit_core::NodeIdx) {
-        for parent in affected_step_parents(&self.argument, [idx]) {
-            self.step_verdicts.remove(self.argument.id_at(parent));
-        }
     }
 
     fn invalidate_logic(&mut self) {
@@ -261,8 +255,7 @@ impl CaseSession {
         self.stats.recompiles += 1;
         if stats.garbage_cost > stats.live_cost.max(COMPACTION_FLOOR) {
             // More dead weight than live payload: compact. Always
-            // sound (everything derives from scratch); the retained
-            // step verdicts are formula-level facts and stay.
+            // sound (everything derives from scratch).
             self.cache = PayloadCache::default();
             self.pool.clear();
             let (fresh, _) =
@@ -274,71 +267,32 @@ impl CaseSession {
         }
         self.logic_dirty = false;
     }
+}
 
-    /// The machine report over the live session, finding-for-finding
-    /// identical to [`check_argument`] on the current revision: step
-    /// verdicts come from the dirty-tracked cache (only dirtied steps
-    /// pay a solver call), root entailment runs on the warm solver, and
-    /// the fallacy detectors answer through the witness pool.
-    fn compute_machine(&mut self) -> MachineReport {
-        let theory = self
-            .theory
-            .as_mut()
-            .expect("flush leaves a live compilation");
-        let premises = formal_premises(&self.argument);
-        let conclusion = formal_conclusion(&self.argument);
-        let formal_nodes = self.argument.formalised_count();
-        let mut findings = Vec::new();
-        for idx in theory.step_indices() {
-            let id = self.argument.id_at(idx);
-            let deductive = if let Some(&verdict) = self.step_verdicts.get(id) {
-                self.stats.steps_reused += 1;
-                verdict
-            } else {
-                let verdict = theory
-                    .step_is_deductive(idx)
-                    .expect("step_indices yields only checkable steps");
-                self.stats.steps_checked += 1;
-                self.step_verdicts.insert(id.clone(), verdict);
-                verdict
-            };
-            if !deductive {
-                findings.push(MachineFinding::NonDeductiveStep { node: id.clone() });
-            }
-        }
-        let checkable = match (&conclusion, premises.is_empty()) {
-            (Some(_), false) => true,
-            _ => formal_nodes > 0,
-        };
-        if let Some(conclusion) = conclusion {
-            if !premises.is_empty() {
-                if theory.root_entailed() == Some(false) {
-                    findings.push(MachineFinding::ConclusionNotEntailed);
-                }
-                let premise_lits = theory.premise_lits();
-                if let Some(conclusion_lit) = theory.conclusion_lit() {
-                    for finding in formal::detect_all_compiled_with(
-                        theory.theory_mut(),
-                        &mut self.pool,
-                        premise_lits,
-                        conclusion_lit,
-                        &premises,
-                        conclusion,
-                    ) {
-                        findings.push(MachineFinding::Fallacy {
-                            fallacy: finding.fallacy,
-                            detail: finding.detail,
-                        });
-                    }
-                }
-            }
-        }
-        MachineReport {
-            findings,
-            formal_nodes,
-            checkable,
-        }
+/// Rushby's what-if probe at verdict level: the root entailment, then
+/// — when it holds — one drop-probe per premise, asking exactly the
+/// assumption sets CK104 asks, so a linted revision answers them all
+/// from the pool. Equal to [`ProbeAnswer::from`] the valuation-bearing
+/// [`ArgumentTheory::probe`]; `None` without a formal conclusion.
+fn probe_answer(theory: &mut ArgumentTheory, pool: &mut WitnessPool) -> Option<ProbeAnswer> {
+    let mut holds = |theory: &mut ArgumentTheory, skip| {
+        let question = theory.entailment_question(skip)?;
+        Some(!pool.check(theory.theory_mut(), &question))
+    };
+    if !holds(theory, None)? {
+        return Some(ProbeAnswer {
+            entailed: false,
+            critical: Vec::new(),
+            idle: Vec::new(),
+        });
     }
+    let (idle, critical) =
+        (0..theory.premise_lits().len()).partition(|&i| holds(theory, Some(i)) == Some(true));
+    Some(ProbeAnswer {
+        entailed: true,
+        critical,
+        idle,
+    })
 }
 
 /// The honest from-scratch answer bundle: parse nothing, reuse nothing

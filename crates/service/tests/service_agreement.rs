@@ -7,7 +7,7 @@
 //! The expected transcript replays the same op streams but answers
 //! each query with [`batch_answers`] — fresh compilations that share
 //! nothing with the incremental path (no payload cache, no witness
-//! pool, no retained learned clauses, no step-verdict cache).
+//! pool, no retained learned clauses).
 
 use casekit_analysis::LintConfig;
 use casekit_core::dsl::parse_argument;

@@ -9,8 +9,8 @@ check:
 
 # Mirror the CI pipeline locally, in job order: fmt, clippy, rustdoc
 # with warnings denied, release build + tests (the perfbench package's
-# tests under --locked included), the deny-level example lint, then the
-# smoke bench-regression gate.
+# tests under --locked included), the deny-level example lint, the
+# smoke bench-regression gate, then the perfbench correctness smoke.
 ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -20,6 +20,18 @@ ci:
     cargo test --release --locked --manifest-path perfbench/Cargo.toml
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
     ./scripts/bench_gate.sh
+    just perf-smoke
+
+# Every BENCHMARK.json workload once at seed 1 for 5 s (a 1 s ingest
+# run has too few samples for its p99): fails unless each result line
+# reads `"correct": true` with `"failed": 0`.
+perf-smoke:
+    for workload in ingest check session; do \
+      out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 5 --trace 0)"; \
+      printf '%s\n' "$out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
+        || { printf '%s\n' "$out"; echo "perfbench $workload: wrong output or failed ops"; exit 1; }; \
+    done
 
 # The smoke bench-regression gate alone (BENCH_*.smoke.json + floors).
 bench-gate:

@@ -15,8 +15,9 @@
 //! * [`query`] — metadata annotation and structured querying.
 //! * [`survey`] — the paper's systematic literature survey pipeline.
 //! * [`experiments`] — simulated studies from the paper's section VI.
-//! * [`service`] — long-lived incremental case sessions with dirty-step
-//!   re-verification and batched multi-question answering.
+//! * [`service`] — long-lived incremental case sessions that ask each
+//!   solver question once per revision, with batched multi-question
+//!   answering.
 
 #![forbid(unsafe_code)]
 
