@@ -14,6 +14,11 @@
 //! of the offending source line. Exit status is 1 if any diagnostic of
 //! error severity is emitted, 0 otherwise.
 //!
+//! No input aborts the run. Formula payloads and node bodies are both
+//! capped at [`casekit_logic::MAX_DEPTH`] levels of nesting — deeper
+//! ones become `CK204` and `CK206` diagnostics instead of overflowing a
+//! stack — and excerpts render at any column.
+//!
 //! `--deny` promotes every lint to deny level (any diagnostic is an
 //! error) — the mode CI uses over the example corpus. `--list` prints
 //! the lint registry and exits.

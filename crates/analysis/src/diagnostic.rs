@@ -200,6 +200,8 @@ lint_codes! {
         "a `formal` or `temporal` payload is not a well-formed formula"),
     InvalidStructure = ("CK205", 205, "invalid-structure", Level::Deny, PassKind::Syntax,
         "a declaration is syntactically fine but structurally ill-formed (duplicate id, bad `ref`, …)"),
+    TooDeep = ("CK206", 206, "too-deep", Level::Deny, PassKind::Syntax,
+        "node bodies nest deeper than the parser's depth limit (`casekit_logic::MAX_DEPTH`)"),
 }
 
 impl fmt::Display for LintCode {

@@ -48,6 +48,7 @@ fn code_for(kind: SyntaxErrorKind) -> LintCode {
         SyntaxErrorKind::UnknownKeyword => LintCode::UnknownKeyword,
         SyntaxErrorKind::BadPayload => LintCode::MalformedPayload,
         SyntaxErrorKind::Structure => LintCode::InvalidStructure,
+        SyntaxErrorKind::TooDeep => LintCode::TooDeep,
         _ => LintCode::SyntaxGeneral,
     }
 }
@@ -168,17 +169,13 @@ pub fn excerpt(src: &str, index: &LineIndex, span: Span) -> Option<String> {
         .saturating_sub(span.start)
         .min(text.len().saturating_sub(col - 1))
         .max(1);
-    let gutter = format!("{line:>4} | ");
-    let mut out = format!("{gutter}{text}\n");
-    out.push_str(&format!(
-        "{:>pad$} | {:>off$}{}",
-        "",
-        "",
-        "^".repeat(width),
-        pad = 4,
-        off = col - 1,
-    ));
-    Some(out)
+    // The caret indent is built by hand: a format width cannot pass
+    // `u16::MAX`, and columns can.
+    Some(format!(
+        "{line:>4} | {text}\n     | {}{}",
+        " ".repeat(col - 1),
+        "^".repeat(width)
+    ))
 }
 
 #[cfg(test)]
@@ -273,6 +270,34 @@ mod tests {
                 .collect();
             assert_eq!(sharded, serial, "workers={workers}");
         }
+    }
+
+    #[test]
+    fn unclosed_group_in_a_payload_underlines_the_token_it_names() {
+        for payload in ["(alpha beta gamma)", "(alpha beta"] {
+            let src = format!("argument \"a\" {{\n  goal g1 \"x\" formal \"{payload}\"\n}}\n");
+            let analysis = check_source(&src, &LintConfig::new());
+            let d = analysis
+                .diagnostics
+                .iter()
+                .find(|d| d.code == LintCode::MalformedPayload)
+                .unwrap();
+            assert_eq!(
+                d.message,
+                "in formal payload of `g1`: expected `)`, found `beta`"
+            );
+            let span = d.span.unwrap();
+            assert_eq!(&src[span.start..span.end], "beta", "{payload}");
+        }
+    }
+
+    #[test]
+    fn excerpt_renders_columns_past_u16_max() {
+        let src = format!("{}$\n", " ".repeat(70_000));
+        let index = LineIndex::new(&src);
+        let rendered = excerpt(&src, &index, Span::new(70_000, 70_001)).unwrap();
+        let caret_line = rendered.lines().nth(1).unwrap();
+        assert_eq!(caret_line, format!("     | {}^", " ".repeat(70_000)));
     }
 
     #[test]

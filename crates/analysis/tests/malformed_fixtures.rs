@@ -119,6 +119,50 @@ fn invalid_structure_fixture() {
 }
 
 #[test]
+fn too_deep_formula_fixture() {
+    let (src, diagnostics) = analyze("too_deep_formula.case");
+    assert_eq!(diagnostics.len(), 1, "got: {diagnostics:?}");
+    let d = &diagnostics[0];
+    assert_eq!(d.code, LintCode::MalformedPayload);
+    assert_eq!(
+        d.message,
+        "in formal payload of `g1`: formula nests deeper than 256 levels"
+    );
+    assert_eq!(d.primary.as_ref().unwrap().as_str(), "g1");
+    assert_eq!(d.hint, None);
+    // 257 `~` over `p`: the second `~` would build the 257th level.
+    assert_eq!(line_col(&src, d), (6, 41));
+    assert_eq!(covered(&src, d), "~");
+    assert_eq!(&src[d.span.unwrap().start - 1..d.span.unwrap().start], "~");
+}
+
+#[test]
+fn too_deep_block_fixture() {
+    let (src, diagnostics) = analyze("too_deep_block.case");
+    assert_eq!(diagnostics.len(), 2, "got: {diagnostics:?}");
+    // The skipped body took `g257`'s only support with it.
+    let unsupported = &diagnostics[0];
+    assert_eq!(unsupported.code, LintCode::UndevelopedGoal);
+    assert_eq!(unsupported.severity, Severity::Warning);
+    assert_eq!(line_col(&src, unsupported), (261, 6));
+    assert_eq!(covered(&src, unsupported), "g257");
+    let d = &diagnostics[1];
+    assert_eq!(d.code, LintCode::TooDeep);
+    assert_eq!(d.severity, Severity::Error);
+    assert_eq!(d.message, "node body nests deeper than 256 levels");
+    assert_eq!(
+        d.hint.as_deref(),
+        Some("restructure the argument with fewer nested levels")
+    );
+    assert_eq!(line_col(&src, d), (261, 23));
+    assert_eq!(covered(&src, d), "{");
+    // Parsing resumed after the skipped body: every level up to `g257`
+    // survived, and nothing inside the body did.
+    let argument = check_source(&src, &LintConfig::new()).argument.unwrap();
+    assert_eq!(argument.nodes().count(), 257);
+}
+
+#[test]
 fn every_fixture_recovers_and_renders_an_excerpt() {
     for name in [
         "bad_keyword.case",
@@ -127,6 +171,7 @@ fn every_fixture_recovers_and_renders_an_excerpt() {
         "unterminated_string.case",
         "stray_character.case",
         "invalid_structure.case",
+        "too_deep_formula.case",
     ] {
         let src = fixture(name);
         let analysis = check_source(&src, &LintConfig::new());

@@ -25,6 +25,12 @@
 //!   edges): reported at the `ref`; the edge is dropped. Matching the
 //!   seed parser (and the builder), `ref` targets must already be
 //!   declared — there are no forward references.
+//! - **Too deep**: a node body that would nest more than [`MAX_DEPTH`]
+//!   levels deep is reported at its `{` and skipped by brace matching;
+//!   its node is kept without children and parsing resumes after the
+//!   matching `}`. The parser recurses once per level, as do the
+//!   renderers and checks downstream, so the cap keeps any input from
+//!   overflowing a stack.
 //!
 //! The parser validates as it reads, refusing with a diagnostic exactly
 //! the ids and edges [`Argument::from_parts`] would refuse, so what
@@ -39,7 +45,9 @@ use std::borrow::Cow;
 use std::collections::hash_map::{Entry, HashMap};
 use std::collections::HashSet;
 
-use casekit_logic::{ltl::parse_ltl, prop, ParseError, Span, SyntaxError, SyntaxErrorKind};
+use casekit_logic::{
+    ltl::parse_ltl, prop, ParseError, Span, SyntaxError, SyntaxErrorKind, MAX_DEPTH,
+};
 
 use super::lexer::{lex, unescape, Lexed, Tok};
 use super::source_map::{NodeSpans, SourceMap};
@@ -55,6 +63,7 @@ pub(crate) fn parse(input: &str) -> ParseOutcome {
         input,
         toks,
         pos: 0,
+        depth: 0,
         errors: lex_errors
             .into_iter()
             .map(|error| DslError { error, node: None })
@@ -126,6 +135,8 @@ struct Parser<'a> {
     input: &'a str,
     toks: Vec<Lexed<'a>>,
     pos: usize,
+    /// How many node bodies enclose the cursor.
+    depth: usize,
     errors: Vec<DslError>,
     /// The id table: the arena position of every recorded node.
     ids: HashMap<NodeId, NodeIdx>,
@@ -448,10 +459,41 @@ impl<'a> Parser<'a> {
         }
 
         if matches!(self.peek(), Some(Tok::LBrace)) {
+            if self.depth == MAX_DEPTH {
+                self.skip_too_deep();
+                return;
+            }
             self.bump();
+            self.depth += 1;
             // Children of a suppressed subtree are parsed for
             // diagnostics only.
             self.node_list(Scope::Body(this));
+            self.depth -= 1;
+        }
+    }
+
+    /// Reports a body at the cursor's `{` that would nest deeper than
+    /// [`MAX_DEPTH`], and skips it through its matching `}` (or to end
+    /// of input).
+    fn skip_too_deep(&mut self) {
+        self.push_err(
+            SyntaxError::with_kind(
+                SyntaxErrorKind::TooDeep,
+                format!("node body nests deeper than {MAX_DEPTH} levels"),
+                self.here(),
+            )
+            .with_hint("restructure the argument with fewer nested levels"),
+            None,
+        );
+        let mut open = 0usize;
+        while let Some(tok) = self.peek() {
+            self.bump();
+            match tok {
+                Tok::LBrace => open += 1,
+                Tok::RBrace if open == 1 => return,
+                Tok::RBrace => open -= 1,
+                _ => {}
+            }
         }
     }
 

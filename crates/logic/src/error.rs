@@ -93,6 +93,10 @@ pub enum SyntaxErrorKind {
     Structure,
     /// Well-formed input followed by trailing garbage.
     TrailingInput,
+    /// Nesting deeper than [`MAX_DEPTH`](crate::MAX_DEPTH): a formula
+    /// operator whose node would be taller, or a `.case` block that would
+    /// open one more level.
+    TooDeep,
     /// Errors constructed from a bare message ([`SyntaxError::new`]).
     Other,
 }
@@ -108,6 +112,7 @@ impl fmt::Display for SyntaxErrorKind {
             SyntaxErrorKind::BadPayload => "bad-payload",
             SyntaxErrorKind::Structure => "structure",
             SyntaxErrorKind::TrailingInput => "trailing-input",
+            SyntaxErrorKind::TooDeep => "too-deep",
             SyntaxErrorKind::Other => "other",
         })
     }

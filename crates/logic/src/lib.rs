@@ -37,6 +37,10 @@
 //!   argument graph in `casekit-core`, its CK002 lint, [`af`] and
 //!   [`ltl`].
 //!
+//! The [`prop`] and [`ltl`] parsers are two grammar tables over one
+//! iterative formula front end, which builds no tree taller than
+//! [`MAX_DEPTH`].
+//!
 //! ## Example
 //!
 //! ```
@@ -106,4 +110,6 @@ pub mod prop;
 pub mod sorts;
 
 mod error;
+mod expr;
 pub use error::{LineIndex, Located, LogicError, ParseError, Span, SyntaxError, SyntaxErrorKind};
+pub use expr::MAX_DEPTH;

@@ -1,4 +1,5 @@
-//! Parser for LTL formulas.
+//! The LTL grammar: the table the formula front end (`crate::expr`)
+//! parses LTL formulas with.
 //!
 //! Grammar (lowest precedence first):
 //!
@@ -10,190 +11,64 @@
 //! unary   ::= ("~" | "X" | "F" | "G") unary | "(" implies ")" | atom
 //! ```
 //!
-//! Unicode aliases `¬ ∧ ∨ → ◇ □ ○` are accepted (`◇` = F, `□` = G, `○` = X).
+//! Unicode aliases `¬ ∧ ∨ → ◇ □ ○` are accepted (`◇` = F, `□` = G, `○` = X),
+//! as are `!`, `&&` and `||`. LTL has no `<->` and no primed names, its
+//! `F` is *finally*, and its constants are `true` and `false`. No formula
+//! may be taller than [`MAX_DEPTH`](crate::MAX_DEPTH).
 
 use super::ast::Ltl;
-use crate::error::{ParseError, Span, SyntaxError};
+use crate::error::ParseError;
+use crate::expr::{self, Grammar, Op};
 
-struct P<'a> {
-    input: &'a str,
-    pos: usize,
-}
+impl Grammar for Ltl {
+    const SYMBOLS: &'static [(Op, &'static [&'static str])] = &[
+        (Op::Not, &["~", "!", "¬"]),
+        (Op::Next, &["○"]),
+        (Op::Finally, &["◇"]),
+        (Op::Globally, &["□"]),
+        (Op::And, &["&", "&&", "∧"]),
+        (Op::Or, &["|", "||", "∨"]),
+        (Op::Implies, &["->", "→"]),
+        (Op::LParen, &["("]),
+        (Op::RParen, &[")"]),
+    ];
+    const WORDS: &'static [(Op, &'static [&'static str])] = &[
+        (Op::Next, &["X"]),
+        (Op::Finally, &["F"]),
+        (Op::Globally, &["G"]),
+        (Op::Until, &["U"]),
+        (Op::Release, &["R"]),
+        (Op::True, &["true"]),
+        (Op::False, &["false"]),
+    ];
+    const PRIMES: bool = false;
+    const OPERAND: &'static str = "an LTL formula";
+    const FOUND_FIRST_CHAR: bool = true;
+    const TRUE: Self = Ltl::True;
+    const FALSE: Self = Ltl::False;
 
-impl<'a> P<'a> {
-    fn skip_ws(&mut self) {
-        let rest = &self.input[self.pos..];
-        let trimmed = rest.trim_start();
-        self.pos += rest.len() - trimmed.len();
+    fn atom(name: &str) -> Self {
+        Ltl::prop(name)
     }
 
-    fn peek(&mut self) -> Option<char> {
-        self.skip_ws();
-        self.input[self.pos..].chars().next()
-    }
-
-    fn try_eat(&mut self, s: &str) -> bool {
-        self.skip_ws();
-        if self.input[self.pos..].starts_with(s) {
-            self.pos += s.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Reads a word `[A-Za-z_][A-Za-z0-9_]*` without consuming it.
-    fn peek_word(&mut self) -> Option<&'a str> {
-        self.skip_ws();
-        let rest = &self.input[self.pos..];
-        let mut end = 0;
-        for (i, c) in rest.char_indices() {
-            if (i == 0 && (c.is_alphabetic() || c == '_'))
-                || (i > 0 && (c.is_alphanumeric() || c == '_'))
-            {
-                end = i + c.len_utf8();
-            } else {
-                break;
-            }
-        }
-        if end == 0 {
-            None
-        } else {
-            Some(&rest[..end])
+    fn unary(op: Op, operand: Self) -> Self {
+        match op {
+            Op::Not => operand.not(),
+            Op::Next => operand.next(),
+            Op::Finally => operand.finally(),
+            Op::Globally => operand.globally(),
+            _ => unreachable!("`{op:?}` is not an LTL prefix operator"),
         }
     }
 
-    fn eat_word(&mut self) -> Option<&'a str> {
-        let w = self.peek_word()?;
-        self.pos += w.len();
-        Some(w)
-    }
-
-    /// What sits at the cursor, rendered for an "expected X, found Y"
-    /// message (`None` at end of input).
-    fn found_here(&mut self) -> Option<String> {
-        self.peek().map(|c| format!("`{c}`"))
-    }
-
-    fn implies(&mut self) -> Result<Ltl, ParseError> {
-        let lhs = self.or()?;
-        if self.try_eat("->") || self.try_eat("→") {
-            let rhs = self.implies()?;
-            return Ok(lhs.implies(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn or(&mut self) -> Result<Ltl, ParseError> {
-        let mut lhs = self.and()?;
-        loop {
-            if self.try_eat("||")
-                || (self.peek() == Some('|') && self.try_eat("|"))
-                || self.try_eat("∨")
-            {
-                let rhs = self.and()?;
-                lhs = lhs.or(rhs);
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn and(&mut self) -> Result<Ltl, ParseError> {
-        let mut lhs = self.until()?;
-        loop {
-            if self.try_eat("&&")
-                || (self.peek() == Some('&') && self.try_eat("&"))
-                || self.try_eat("∧")
-            {
-                let rhs = self.until()?;
-                lhs = lhs.and(rhs);
-            } else {
-                break;
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn until(&mut self) -> Result<Ltl, ParseError> {
-        let mut lhs = self.unary()?;
-        loop {
-            match self.peek_word() {
-                Some("U") => {
-                    self.eat_word();
-                    let rhs = self.unary()?;
-                    lhs = lhs.until(rhs);
-                }
-                Some("R") => {
-                    self.eat_word();
-                    let rhs = self.unary()?;
-                    lhs = lhs.release(rhs);
-                }
-                _ => break,
-            }
-        }
-        Ok(lhs)
-    }
-
-    fn unary(&mut self) -> Result<Ltl, ParseError> {
-        self.skip_ws();
-        if self.try_eat("~") || self.try_eat("!") || self.try_eat("¬") {
-            return Ok(self.unary()?.not());
-        }
-        if self.try_eat("◇") {
-            return Ok(self.unary()?.finally());
-        }
-        if self.try_eat("□") {
-            return Ok(self.unary()?.globally());
-        }
-        if self.try_eat("○") {
-            return Ok(self.unary()?.next());
-        }
-        match self.peek_word() {
-            Some("X") => {
-                self.eat_word();
-                return Ok(self.unary()?.next());
-            }
-            Some("F") => {
-                self.eat_word();
-                return Ok(self.unary()?.finally());
-            }
-            Some("G") => {
-                self.eat_word();
-                return Ok(self.unary()?.globally());
-            }
-            Some("true") => {
-                self.eat_word();
-                return Ok(Ltl::True);
-            }
-            Some("false") => {
-                self.eat_word();
-                return Ok(Ltl::False);
-            }
-            _ => {}
-        }
-        if self.try_eat("(") {
-            let inner = self.implies()?;
-            if !self.try_eat(")") {
-                let found = self.found_here();
-                return Err(
-                    SyntaxError::expected_found("`)`", found, Span::point(self.pos))
-                        .with_hint("close the parenthesized group"),
-                );
-            }
-            return Ok(inner);
-        }
-        match self.eat_word() {
-            Some(w) if !matches!(w, "U" | "R") => Ok(Ltl::prop(w)),
-            _ => {
-                let found = self.found_here();
-                Err(SyntaxError::expected_found(
-                    "an LTL formula",
-                    found,
-                    Span::point(self.pos),
-                ))
-            }
+    fn binary(op: Op, lhs: Self, rhs: Self) -> Self {
+        match op {
+            Op::And => lhs.and(rhs),
+            Op::Or => lhs.or(rhs),
+            Op::Implies => lhs.implies(rhs),
+            Op::Until => lhs.until(rhs),
+            Op::Release => lhs.release(rhs),
+            _ => unreachable!("`{op:?}` is not an LTL connective"),
         }
     }
 }
@@ -202,7 +77,9 @@ impl<'a> P<'a> {
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] locating the first offending token.
+/// Returns a [`ParseError`] locating the first offending token, or the
+/// operator that would make the formula taller than
+/// [`MAX_DEPTH`](crate::MAX_DEPTH).
 ///
 /// # Examples
 ///
@@ -212,17 +89,7 @@ impl<'a> P<'a> {
 /// assert_eq!(f.to_string(), "G (below_min -> nonzero U above_min)");
 /// ```
 pub fn parse_ltl(input: &str) -> Result<Ltl, ParseError> {
-    let mut p = P { input, pos: 0 };
-    let f = p.implies()?;
-    p.skip_ws();
-    if p.pos < input.len() {
-        return Err(SyntaxError::with_kind(
-            crate::error::SyntaxErrorKind::TrailingInput,
-            "unexpected trailing input",
-            Span::point(p.pos),
-        ));
-    }
-    Ok(f)
+    expr::parse(input)
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! Recursive-descent parser for propositional formulas.
+//! The propositional grammar: the table the formula front end
+//! (`crate::expr`) parses propositional formulas with.
 //!
 //! Grammar (lowest precedence first):
 //!
@@ -12,284 +13,48 @@
 //! ```
 //!
 //! Unicode aliases are accepted: `¬` for `~`, `∧` for `&`, `∨` for `|`,
-//! `⇒`/`→` for `->`, `⇔`/`↔` for `<->`.
+//! `⇒`/`→` for `->`, `⇔`/`↔` for `<->`; `!` is `~`, `&&` and `||` are
+//! `&` and `|`, and `true`/`false` are `T`/`F`. No formula may be taller
+//! than [`MAX_DEPTH`](crate::MAX_DEPTH).
 
 use super::ast::Formula;
-use crate::error::{ParseError, Span, SyntaxError, SyntaxErrorKind};
+use crate::error::ParseError;
+use crate::expr::{self, Grammar, Op};
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Tok<'a> {
-    Not,
-    And,
-    Or,
-    Implies,
-    Iff,
-    LParen,
-    RParen,
-    True,
-    False,
-    /// An identifier, borrowed from the input.
-    Ident(&'a str),
-}
+impl Grammar for Formula {
+    const SYMBOLS: &'static [(Op, &'static [&'static str])] = &[
+        (Op::Not, &["~", "¬", "!"]),
+        (Op::And, &["&", "&&", "∧"]),
+        (Op::Or, &["|", "||", "∨"]),
+        (Op::Implies, &["->", "⇒", "→"]),
+        (Op::Iff, &["<->", "⇔", "↔"]),
+        (Op::LParen, &["("]),
+        (Op::RParen, &[")"]),
+    ];
+    const WORDS: &'static [(Op, &'static [&'static str])] =
+        &[(Op::True, &["T", "true"]), (Op::False, &["F", "false"])];
+    const PRIMES: bool = true;
+    const OPERAND: &'static str = "a formula";
+    const FOUND_FIRST_CHAR: bool = false;
+    const TRUE: Self = Formula::True;
+    const FALSE: Self = Formula::False;
 
-#[derive(Debug, Clone, Copy)]
-struct Lexed<'a> {
-    tok: Tok<'a>,
-    span: Span,
-}
-
-fn lex(input: &str) -> Result<Vec<Lexed<'_>>, ParseError> {
-    let mut out = Vec::new();
-    let mut chars = input.char_indices().peekable();
-    while let Some(&(i, c)) = chars.peek() {
-        match c {
-            c if c.is_whitespace() => {
-                chars.next();
-            }
-            '~' | '¬' | '!' => {
-                chars.next();
-                out.push(Lexed {
-                    tok: Tok::Not,
-                    span: Span::new(i, i + c.len_utf8()),
-                });
-            }
-            '&' | '∧' => {
-                chars.next();
-                // Tolerate `&&`.
-                if c == '&' {
-                    if let Some(&(_, '&')) = chars.peek() {
-                        chars.next();
-                    }
-                }
-                out.push(Lexed {
-                    tok: Tok::And,
-                    span: Span::new(i, i + c.len_utf8()),
-                });
-            }
-            '|' | '∨' => {
-                chars.next();
-                if c == '|' {
-                    if let Some(&(_, '|')) = chars.peek() {
-                        chars.next();
-                    }
-                }
-                out.push(Lexed {
-                    tok: Tok::Or,
-                    span: Span::new(i, i + c.len_utf8()),
-                });
-            }
-            '⇒' | '→' => {
-                chars.next();
-                out.push(Lexed {
-                    tok: Tok::Implies,
-                    span: Span::new(i, i + c.len_utf8()),
-                });
-            }
-            '⇔' | '↔' => {
-                chars.next();
-                out.push(Lexed {
-                    tok: Tok::Iff,
-                    span: Span::new(i, i + c.len_utf8()),
-                });
-            }
-            '(' => {
-                chars.next();
-                out.push(Lexed {
-                    tok: Tok::LParen,
-                    span: Span::new(i, i + 1),
-                });
-            }
-            ')' => {
-                chars.next();
-                out.push(Lexed {
-                    tok: Tok::RParen,
-                    span: Span::new(i, i + 1),
-                });
-            }
-            '-' => {
-                chars.next();
-                match chars.peek() {
-                    Some(&(_, '>')) => {
-                        chars.next();
-                        out.push(Lexed {
-                            tok: Tok::Implies,
-                            span: Span::new(i, i + 2),
-                        });
-                    }
-                    _ => {
-                        return Err(SyntaxError::with_kind(
-                            SyntaxErrorKind::UnexpectedChar,
-                            "expected `>` after `-` (implication is `->`)",
-                            Span::new(i, i + 1),
-                        )
-                        .with_hint("write implication as `->`"))
-                    }
-                }
-            }
-            '<' => {
-                chars.next();
-                let ok = matches!(chars.peek(), Some(&(_, '-')));
-                if ok {
-                    chars.next();
-                    if let Some(&(_, '>')) = chars.peek() {
-                        chars.next();
-                        out.push(Lexed {
-                            tok: Tok::Iff,
-                            span: Span::new(i, i + 3),
-                        });
-                        continue;
-                    }
-                }
-                return Err(SyntaxError::with_kind(
-                    SyntaxErrorKind::UnexpectedChar,
-                    "expected `<->` (biconditional)",
-                    Span::new(i, i + 1),
-                )
-                .with_hint("write the biconditional as `<->`"));
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let start = i;
-                let mut end = i;
-                while let Some(&(j, d)) = chars.peek() {
-                    if d.is_alphanumeric() || d == '_' || d == '\'' {
-                        end = j + d.len_utf8();
-                        chars.next();
-                    } else {
-                        break;
-                    }
-                }
-                let word = &input[start..end];
-                let tok = match word {
-                    "T" | "true" => Tok::True,
-                    "F" | "false" => Tok::False,
-                    _ => Tok::Ident(word),
-                };
-                out.push(Lexed {
-                    tok,
-                    span: Span::new(start, end),
-                });
-            }
-            other => {
-                return Err(SyntaxError::with_kind(
-                    SyntaxErrorKind::UnexpectedChar,
-                    format!("unexpected character `{other}`"),
-                    Span::new(i, i + other.len_utf8()),
-                ))
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// How a token reads in an "expected X, found Y" message.
-fn describe(tok: Tok<'_>) -> String {
-    match tok {
-        Tok::Not => "`~`".into(),
-        Tok::And => "`&`".into(),
-        Tok::Or => "`|`".into(),
-        Tok::Implies => "`->`".into(),
-        Tok::Iff => "`<->`".into(),
-        Tok::LParen => "`(`".into(),
-        Tok::RParen => "`)`".into(),
-        Tok::True => "`T`".into(),
-        Tok::False => "`F`".into(),
-        Tok::Ident(name) => format!("`{name}`"),
-    }
-}
-
-struct Parser<'a> {
-    toks: Vec<Lexed<'a>>,
-    pos: usize,
-    input_len: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<Tok<'a>> {
-        self.toks.get(self.pos).map(|l| l.tok)
+    fn atom(name: &str) -> Self {
+        Formula::atom(name)
     }
 
-    /// Consumes and returns the next token, if any.
-    fn next(&mut self) -> Option<Tok<'a>> {
-        let tok = self.peek();
-        if tok.is_some() {
-            self.pos += 1;
-        }
-        tok
+    fn unary(op: Op, operand: Self) -> Self {
+        debug_assert_eq!(op, Op::Not, "the only propositional prefix operator");
+        operand.not()
     }
 
-    fn here(&self) -> Span {
-        self.toks
-            .get(self.pos)
-            .map(|l| l.span)
-            .unwrap_or_else(|| Span::point(self.input_len))
-    }
-
-    fn parse_iff(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_implies()?;
-        while matches!(self.peek(), Some(Tok::Iff)) {
-            self.next();
-            let rhs = self.parse_implies()?;
-            lhs = lhs.iff(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_implies(&mut self) -> Result<Formula, ParseError> {
-        let lhs = self.parse_or()?;
-        if matches!(self.peek(), Some(Tok::Implies)) {
-            self.next();
-            let rhs = self.parse_implies()?;
-            return Ok(lhs.implies(rhs));
-        }
-        Ok(lhs)
-    }
-
-    fn parse_or(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_and()?;
-        while matches!(self.peek(), Some(Tok::Or)) {
-            self.next();
-            let rhs = self.parse_and()?;
-            lhs = lhs.or(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_and(&mut self) -> Result<Formula, ParseError> {
-        let mut lhs = self.parse_unary()?;
-        while matches!(self.peek(), Some(Tok::And)) {
-            self.next();
-            let rhs = self.parse_unary()?;
-            lhs = lhs.and(rhs);
-        }
-        Ok(lhs)
-    }
-
-    fn parse_unary(&mut self) -> Result<Formula, ParseError> {
-        let span = self.here();
-        match self.next() {
-            Some(Tok::Not) => Ok(self.parse_unary()?.not()),
-            Some(Tok::LParen) => {
-                let inner = self.parse_iff()?;
-                let found = self.peek().map(describe);
-                match self.next() {
-                    Some(Tok::RParen) => Ok(inner),
-                    _ => Err(SyntaxError::expected_found("`)`", found, self.here())
-                        .with_hint("close the parenthesized group")),
-                }
-            }
-            Some(Tok::True) => Ok(Formula::True),
-            Some(Tok::False) => Ok(Formula::False),
-            Some(Tok::Ident(name)) => Ok(Formula::atom(name)),
-            Some(tok) => Err(SyntaxError::expected_found(
-                "a formula",
-                Some(describe(tok)),
-                span,
-            )),
-            None => Err(SyntaxError::with_kind(
-                SyntaxErrorKind::UnexpectedEof,
-                "unexpected end of input",
-                span,
-            )),
+    fn binary(op: Op, lhs: Self, rhs: Self) -> Self {
+        match op {
+            Op::And => lhs.and(rhs),
+            Op::Or => lhs.or(rhs),
+            Op::Implies => lhs.implies(rhs),
+            Op::Iff => lhs.iff(rhs),
+            _ => unreachable!("`{op:?}` is not a propositional connective"),
         }
     }
 }
@@ -299,7 +64,8 @@ impl<'a> Parser<'a> {
 /// # Errors
 ///
 /// Returns a [`ParseError`] with a byte-span locating the first offending
-/// token if the input is not a well-formed formula.
+/// token if the input is not a well-formed formula, or the operator that
+/// would make it taller than [`MAX_DEPTH`](crate::MAX_DEPTH).
 ///
 /// # Examples
 ///
@@ -309,26 +75,13 @@ impl<'a> Parser<'a> {
 /// assert!(f.is_tautology());
 /// ```
 pub fn parse(input: &str) -> Result<Formula, ParseError> {
-    let toks = lex(input)?;
-    let mut p = Parser {
-        toks,
-        pos: 0,
-        input_len: input.len(),
-    };
-    let f = p.parse_iff()?;
-    if p.peek().is_some() {
-        return Err(SyntaxError::with_kind(
-            SyntaxErrorKind::TrailingInput,
-            "unexpected trailing input",
-            p.here(),
-        ));
-    }
-    Ok(f)
+    expr::parse(input)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Span;
 
     #[test]
     fn parses_simple_atoms_and_constants() {
@@ -404,6 +157,26 @@ mod tests {
         assert!(e.message.contains("end of input"));
         let e = parse("p <- q").unwrap_err();
         assert!(e.message.contains("<->"));
+    }
+
+    #[test]
+    fn unclosed_group_underlines_the_token_it_names() {
+        let e = parse("(alpha beta gamma)").unwrap_err();
+        assert_eq!(e.message, "expected `)`, found `beta`");
+        assert_eq!(e.span, Span::new(7, 11));
+        let e = parse("(alpha beta").unwrap_err();
+        assert_eq!(e.found.as_deref(), Some("`beta`"));
+        assert_eq!(e.span, Span::new(7, 11));
+    }
+
+    #[test]
+    fn doubled_operators_are_blamed_whole() {
+        let e = parse("&& p").unwrap_err();
+        assert_eq!(e.message, "expected a formula, found `&`");
+        assert_eq!(e.span, Span::new(0, 2));
+        let e = parse("p | || q").unwrap_err();
+        assert_eq!(e.found.as_deref(), Some("`|`"));
+        assert_eq!(e.span, Span::new(4, 6));
     }
 
     #[test]

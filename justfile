@@ -10,7 +10,8 @@ check:
 # Mirror the CI pipeline locally, in job order: fmt, clippy, rustdoc
 # with warnings denied, release build + tests (the perfbench package's
 # tests under --locked included), the deny-level example lint, the
-# smoke bench-regression gate, then the perfbench correctness smoke.
+# malformed-fixture gate, the smoke bench-regression gate, then the
+# perfbench correctness smoke.
 ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -19,8 +20,20 @@ ci:
     cargo test -q
     cargo test --release --locked --manifest-path perfbench/Cargo.toml
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
+    just lint-malformed
     ./scripts/bench_gate.sh
     just perf-smoke
+
+# The malformed fixtures under examples/cases/malformed/ must FAIL
+# caselint, with every CK2xx syntax code class represented.
+lint-malformed:
+    if out="$(cargo run --release -q -p casekit-analysis --bin caselint -- examples/cases/malformed)"; then \
+      echo "caselint unexpectedly passed on examples/cases/malformed"; exit 1; \
+    fi; \
+    for code in CK201 CK202 CK203 CK204 CK205 CK206; do \
+      printf '%s' "$out" | grep -q "\[$code\]" \
+        || { echo "malformed fixtures produced no $code diagnostic"; exit 1; }; \
+    done
 
 # Every BENCHMARK.json workload once at seed 1 for 5 s (a 1 s ingest
 # run has too few samples for its p99): fails unless each result line
@@ -46,8 +59,8 @@ clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
 # CaseLint over the bundled example corpus, every lint at deny level.
-# The malformed fixtures under examples/cases/malformed/ are exercised
-# by their own gate in scripts/check.sh (they must *fail* caselint).
+# The malformed fixtures under examples/cases/malformed/ have their own
+# gate (`just lint-malformed`; they must *fail* caselint).
 lint:
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
 

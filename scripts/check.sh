@@ -96,7 +96,7 @@ caselint_malformed_gated() {
     return 1
   fi
   local code
-  for code in CK201 CK202 CK203 CK204 CK205; do
+  for code in CK201 CK202 CK203 CK204 CK205 CK206; do
     printf '%s' "$out" | grep -q "\[$code\]" \
       || { echo "malformed fixtures produced no $code diagnostic"; return 1; }
   done

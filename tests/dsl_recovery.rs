@@ -5,10 +5,13 @@
 //! retained seed parser: node-for-node equal output on valid files, and
 //! the seed's single abort-error always present in the recovered stream
 //! on invalid ones. Inputs are valid generated corpora plus truncations,
-//! point mutations, and keyword-soup concatenations of them.
+//! point mutations, and keyword-soup concatenations of them, and deep
+//! shapes at, around and far past the nesting bound, parsed on a 2 MiB
+//! stack.
 
 use casekit::core::dsl::{parse_argument_recovering, parse_argument_seed, ParseOutcome};
 use casekit::core::Argument;
+use casekit::logic::{SyntaxErrorKind, MAX_DEPTH};
 use proptest::prelude::*;
 
 const KINDS: [&str; 9] = [
@@ -77,6 +80,20 @@ fn render_node(specs: &[Spec], children: &[Vec<usize>], i: usize, depth: usize, 
     out.push_str("}\n");
 }
 
+/// The seed parser, on a stack of its own: it recurses once per block
+/// level and, in a debug build, overflows 2 MiB before [`MAX_DEPTH`]
+/// levels. It is the oracle here, not the code under test.
+fn seed_parse(src: &str) -> Result<Argument, casekit::logic::ParseError> {
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn_scoped(scope, || parse_argument_seed(src))
+            .expect("spawn")
+            .join()
+            .expect("the seed parser never panics")
+    })
+}
+
 fn floor_boundary(src: &str, mut pos: usize) -> usize {
     pos = pos.min(src.len());
     while !src.is_char_boundary(pos) {
@@ -116,8 +133,16 @@ fn check_invariants(src: &str) -> ParseOutcome {
         assert_eq!(rebuilt.arena(), argument.arena(), "arena order differs");
     }
     // Seed agreement: valid files match node-for-node; the seed's abort
-    // error always appears in the recovered stream.
-    match parse_argument_seed(src) {
+    // error always appears in the recovered stream. The seed has no
+    // nesting bound, so a body refused as too deep has no oracle.
+    if out
+        .errors
+        .iter()
+        .any(|d| d.error.kind == SyntaxErrorKind::TooDeep)
+    {
+        return out;
+    }
+    match seed_parse(src) {
         Ok(seed) => {
             assert!(
                 out.is_clean(),
@@ -142,6 +167,65 @@ fn check_invariants(src: &str) -> ParseOutcome {
         }
     }
     out
+}
+
+/// A deep shape of height `height`: a `~` or `G` prefix chain, a `->`
+/// chain, a parenthesis tower (`height` pairs around one atom, which
+/// adds no height), or a tower of `height` nested node bodies.
+fn deep_source(shape: usize, height: usize) -> String {
+    let payload = |kind: &str, formula: String| {
+        format!("argument \"deep\" {{\n  goal g1 \"deep\" {kind} \"{formula}\" {{ solution e1 \"log\" }}\n}}\n")
+    };
+    match shape {
+        0 => payload("formal", format!("{}p", "~".repeat(height - 1))),
+        1 => payload("temporal", format!("{}p", "G ".repeat(height - 1))),
+        2 => payload("formal", vec!["p"; height].join(" -> ")),
+        3 => payload(
+            "formal",
+            format!("{}p{}", "(".repeat(height), ")".repeat(height)),
+        ),
+        _ => {
+            let mut src = String::from("argument \"deep\" {\n");
+            for i in 0..height {
+                src.push_str(&format!("goal g{i} \"level {i}\" {{\n"));
+            }
+            src.push_str("solution e1 \"log\"\n");
+            src.push_str(&"}\n".repeat(height + 1));
+            src
+        }
+    }
+}
+
+#[test]
+fn deep_shapes_recover_on_a_small_stack() {
+    std::thread::Builder::new()
+        .stack_size(2 << 20)
+        .spawn(|| {
+            for height in [MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 20_000] {
+                for shape in 0..5 {
+                    let src = deep_source(shape, height);
+                    let out = check_invariants(&src);
+                    let messages: Vec<&str> = out
+                        .errors
+                        .iter()
+                        .map(|d| d.error.message.as_str())
+                        .collect();
+                    if height <= MAX_DEPTH || shape == 3 {
+                        assert!(
+                            messages.is_empty(),
+                            "shape {shape} at {height}: {messages:?}"
+                        );
+                    } else {
+                        assert_eq!(messages.len(), 1, "shape {shape} at {height}: {messages:?}");
+                        assert!(messages[0].ends_with("deeper than 256 levels"));
+                    }
+                    assert!(out.argument.is_some(), "shape {shape} at {height}");
+                }
+            }
+        })
+        .expect("spawn")
+        .join()
+        .expect("no panic");
 }
 
 fn fragment() -> impl Strategy<Value = &'static str> {

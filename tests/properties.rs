@@ -112,6 +112,81 @@ proptest! {
 }
 
 // ---------------------------------------------------------------------------
+// The formula front end's depth bound: a tree exactly `MAX_DEPTH` tall,
+// built in code along a random spine of connectives, prints and parses
+// back; one level more is refused.
+// ---------------------------------------------------------------------------
+
+mod depth_bound_props {
+    use casekit::logic::ltl::{parse_ltl, Ltl};
+    use casekit::logic::prop::{parse, Formula};
+    use casekit::logic::{SyntaxErrorKind, MAX_DEPTH};
+    use proptest::prelude::*;
+
+    /// Wraps `f` in one more level: a negation, or a connective with a
+    /// fresh atom on either side.
+    fn wrap_formula(f: Formula, step: usize, i: usize) -> Formula {
+        let a = Formula::atom(format!("p{i}"));
+        match step % 9 {
+            0 => f.not(),
+            1 => f.and(a),
+            2 => a.and(f),
+            3 => f.or(a),
+            4 => a.or(f),
+            5 => f.implies(a),
+            6 => a.implies(f),
+            7 => f.iff(a),
+            _ => a.iff(f),
+        }
+    }
+
+    fn wrap_ltl(f: Ltl, step: usize, i: usize) -> Ltl {
+        let a = Ltl::prop(format!("p{i}"));
+        match step % 12 {
+            0 => f.not(),
+            1 => f.next(),
+            2 => f.finally(),
+            3 => f.globally(),
+            4 => f.and(a),
+            5 => a.or(f),
+            6 => f.implies(a),
+            7 => a.implies(f),
+            8 => f.until(a),
+            9 => a.until(f),
+            10 => f.release(a),
+            _ => a.release(f),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn trees_at_the_bound_round_trip_and_one_more_level_is_refused(
+            spine in collection::vec(0..12usize, MAX_DEPTH..MAX_DEPTH + 1),
+        ) {
+            let (last, spine) = spine.split_last().unwrap();
+            let f = spine
+                .iter()
+                .enumerate()
+                .fold(Formula::atom("p"), |f, (i, &step)| wrap_formula(f, step, i));
+            prop_assert_eq!(f.depth(), MAX_DEPTH);
+            prop_assert_eq!(parse(&f.to_string()).unwrap(), f.clone());
+            let over = wrap_formula(f, *last, MAX_DEPTH);
+            prop_assert_eq!(parse(&over.to_string()).unwrap_err().kind, SyntaxErrorKind::TooDeep);
+
+            let g = spine
+                .iter()
+                .enumerate()
+                .fold(Ltl::prop("p"), |g, (i, &step)| wrap_ltl(g, step, i));
+            prop_assert_eq!(parse_ltl(&g.to_string()).unwrap(), g.clone());
+            let over = wrap_ltl(g, *last, MAX_DEPTH);
+            prop_assert_eq!(parse_ltl(&over.to_string()).unwrap_err().kind, SyntaxErrorKind::TooDeep);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Solver agreement: the CDCL core, the chronological watched-literal DPLL
 // baseline, the legacy recursive DPLL (the differential-testing oracle),
 // resolution, and brute-force truth tables must agree on satisfiability for
