@@ -1,9 +1,9 @@
 //! The malformed fixture corpus under `examples/cases/malformed/`:
 //! one file per defect class the recovering frontend handles, each
 //! pinned to its exact diagnostic codes, spans, and line:col
-//! positions. CI runs `caselint` over the same directory and asserts
-//! it fails with these codes; this test keeps the fixtures and the
-//! engine honest at byte granularity.
+//! positions. `caselint_cli.rs` runs `caselint` over the same
+//! directory and asserts it fails with every syntax code; this test
+//! keeps the fixtures and the engine honest at byte granularity.
 
 use casekit_analysis::{check_source, excerpt, Diagnostic, LintCode, LintConfig, Severity};
 use casekit_logic::LineIndex;

@@ -241,7 +241,7 @@ pub fn scc_sweep(af: &Framework) -> SemanticsVerdict {
 
 /// Measured engine comparison at one framework size (SAT path only —
 /// the enumerator cannot follow past 16 arguments).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct AfSizeReport {
     /// Arguments in the seeded random framework.
     pub n: usize,
@@ -268,7 +268,7 @@ pub struct AfSizeReport {
 /// Measured decomposed-engine run at one large-n scenario, with the
 /// monolithic SAT path alongside wherever the size still permits a
 /// cross-check.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct AfSccSizeReport {
     /// Which generator produced the framework (`scale_free` or
     /// `layered_debate`).
@@ -307,7 +307,7 @@ pub struct AfSccSizeReport {
 }
 
 /// The measured comparison, serialized into `BENCH_af.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct AfBenchReport {
     /// ≤ 16-argument instances swept by both engines.
     pub smoke_instances: usize,

@@ -5,7 +5,7 @@
 //! ```text
 //! repro [table1 | claims | figure1 | haley | greenwell |
 //!        exp-a | exp-b | exp-c | exp-d | exp-e | graph | logic |
-//!        af | fol | ltl | experiments | lint | service | dsl | all] [--smoke]
+//!        af | fol | ltl | experiments | lint | service | dsl | all | gate]
 //! ```
 //!
 //! `graph` additionally writes the measured legacy-vs-indexed graph-core
@@ -23,53 +23,35 @@
 //! recompile-per-query-vs-incremental CaseService comparison under
 //! mixed edit/query traffic (`BENCH_service.json`), and `dsl` for the
 //! recovering-frontend corpus-ingestion comparison against the
-//! abort-on-first-error seed parser (`BENCH_dsl.json`).
+//! abort-on-first-error seed parser (`BENCH_dsl.json`). Each of these
+//! nine exits 1 when an agreement flag of its report is false (`af`
+//! also when its decomposed engine did not reach 10^5 arguments).
 //!
-//! `--smoke` runs the benchmark artifacts on small fixed-seed
-//! populations and writes them as `BENCH_*.smoke.json` instead — fast,
-//! deterministic inputs for the CI bench-regression gate
-//! (`scripts/bench_gate.sh`), which checks speedup floors and agreement
-//! flags without disturbing the committed full-scale artifacts.
+//! `gate` is the bench-regression gate (`casekit_bench::gate`): the
+//! nine benchmark arms at smoke scale for five round-robin rounds,
+//! every speedup floor judged on its median and every agreement flag
+//! required in every round. It prints one line per check, writes the
+//! last round as `BENCH_*.smoke.json`, and exits 1 if any check fails.
+//! It takes no options; the floors are constants in that module.
 //!
 //! With no artefact argument, prints everything.
 
-use casekit_bench as bench;
-
-/// Writes `json` to `path`, warning instead of failing on I/O errors
-/// (the artefact is also printed to stdout).
-fn write_artifact(path: &str, json: &str) {
-    if let Err(e) = std::fs::write(path, json) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("wrote {path}");
-    }
-}
+use casekit_bench::gate::{self, Report};
+use casekit_bench::{self as bench, write_artifact};
+use casekit_bench::{af, dsl, experiments, fol, graph, lint, logic, ltl, service};
 
 fn main() {
-    let mut smoke = false;
-    let mut artefact: Option<String> = None;
-    for arg in std::env::args().skip(1) {
-        match arg.as_str() {
-            "--smoke" => smoke = true,
-            other if artefact.is_none() => artefact = Some(other.to_string()),
-            other => {
-                eprintln!("unexpected extra argument `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
-    let arg = artefact.unwrap_or_else(|| "all".to_string());
-    if smoke
-        && !matches!(
-            arg.as_str(),
-            "graph" | "logic" | "af" | "fol" | "ltl" | "experiments" | "lint" | "service" | "dsl"
-        )
-    {
-        eprintln!(
-            "--smoke only applies to the graph, logic, af, fol, ltl, experiments, lint, service, and dsl artefacts"
-        );
+    let mut args = std::env::args().skip(1);
+    let arg = args.next().unwrap_or_else(|| "all".to_string());
+    if let Some(extra) = args.next() {
+        eprintln!("unexpected extra argument `{extra}`");
         std::process::exit(2);
     }
+    let workers = bench::experiments_bench_workers();
+    // A benchmark artefact also writes its report as `BENCH_<arg>.json`
+    // and sets the exit status from its agreement flags.
+    let mut json = None;
+    let mut flags = Vec::new();
     let output = match arg.as_str() {
         "table1" => bench::table_i(),
         "claims" => bench::claims_summary(),
@@ -82,154 +64,77 @@ fn main() {
         "exp-d" => bench::experiment_d(),
         "exp-e" => bench::experiment_e(),
         "graph" => {
-            let (nodes, path) = if smoke {
-                (2_000, "BENCH_graph.smoke.json")
-            } else {
-                (10_000, "BENCH_graph.json")
-            };
-            let report = bench::graph::run_graph_bench(nodes);
-            write_artifact(path, &bench::graph::bench_graph_json(&report));
-            bench::graph::render_report(&report)
+            let report = graph::run_graph_bench(10_000);
+            (json, flags) = (Some(graph::bench_graph_json(&report)), report.flags());
+            graph::render_report(&report)
         }
         "logic" => {
-            let (count, hard, path) = if smoke {
-                (
-                    24,
-                    bench::logic::hard_population_smoke(),
-                    "BENCH_logic.smoke.json",
-                )
-            } else {
-                (
-                    120,
-                    bench::logic::hard_population_full(),
-                    "BENCH_logic.json",
-                )
-            };
-            let report = bench::logic::run_logic_bench(count, &hard);
-            write_artifact(path, &bench::logic::bench_logic_json(&report));
-            bench::logic::render_report(&report)
+            let report = logic::run_logic_bench(120, &logic::hard_population_full());
+            (json, flags) = (Some(logic::bench_logic_json(&report)), report.flags());
+            logic::render_report(&report)
         }
         "af" => {
-            // Smoke keeps the cross-checked population and chain small
-            // and caps the SAT-only sizes where the gate needs them;
-            // the full run carries the decomposed engine to 10^5
-            // arguments with a monolithic cross-check at 10^4.
-            let (smoke_seeds, chain, sizes, scc_sizes, crosscheck, path): (
-                usize,
-                usize,
-                &[usize],
-                &[usize],
-                usize,
-                &str,
-            ) = if smoke {
-                (
-                    4,
-                    120,
-                    &[12, 50],
-                    &[2_000, 20_000],
-                    2_000,
-                    "BENCH_af.smoke.json",
-                )
-            } else {
-                (
-                    6,
-                    300,
-                    &[12, 50, 200, 1000],
-                    &[1_000, 10_000, 100_000],
-                    10_000,
-                    "BENCH_af.json",
-                )
-            };
-            let report =
-                bench::af::run_af_bench(12, smoke_seeds, chain, sizes, scc_sizes, crosscheck);
-            write_artifact(path, &bench::af::bench_af_json(&report));
-            bench::af::render_report(&report)
+            // The decomposed engine runs to 10^5 arguments, with a
+            // monolithic cross-check up to 10^4.
+            let sizes = [1_000, 10_000, gate::FULL_SCALE_AF_SCC_N];
+            let report = af::run_af_bench(12, 6, 300, &[12, 50, 200, 1000], &sizes, 10_000);
+            (json, flags) = (
+                Some(af::bench_af_json(&report)),
+                gate::af_full_scale_flags(&report),
+            );
+            af::render_report(&report)
         }
         "fol" => {
-            let (sizes, chain, path): (&[usize], usize, &str) = if smoke {
-                (&[100, 200], 4_000, "BENCH_fol.smoke.json")
-            } else {
-                (&[200, 400, 800], 30_000, "BENCH_fol.json")
-            };
-            let report = bench::fol::run_fol_bench(sizes, chain);
-            write_artifact(path, &bench::fol::bench_fol_json(&report));
-            bench::fol::render_report(&report)
+            let report = fol::run_fol_bench(&[200, 400, 800], 30_000);
+            (json, flags) = (Some(fol::bench_fol_json(&report)), report.flags());
+            fol::render_report(&report)
         }
         "ltl" => {
             // (states, chords, bound) triples for the cross-checked
             // sweep, then the CSR-only deep point.
-            const SMOKE_POINTS: &[(usize, usize, usize)] = &[(10, 30, 9)];
-            const FULL_POINTS: &[(usize, usize, usize)] = &[(10, 30, 10), (12, 36, 11)];
-            let (points, large, path) = if smoke {
-                (SMOKE_POINTS, (12, 36, 10), "BENCH_ltl.smoke.json")
-            } else {
-                (FULL_POINTS, (14, 42, 12), "BENCH_ltl.json")
-            };
-            let report = bench::ltl::run_ltl_bench(points, large);
-            write_artifact(path, &bench::ltl::bench_ltl_json(&report));
-            bench::ltl::render_report(&report)
+            let report = ltl::run_ltl_bench(&[(10, 30, 10), (12, 36, 11)], (14, 42, 12));
+            (json, flags) = (Some(ltl::bench_ltl_json(&report)), report.flags());
+            ltl::render_report(&report)
         }
         "experiments" => {
-            let (config, path) = if smoke {
-                (
-                    bench::experiments::smoke_config(),
-                    "BENCH_experiments.smoke.json",
-                )
-            } else {
-                (
-                    bench::experiments::scaled_config(),
-                    "BENCH_experiments.json",
-                )
-            };
-            let report = bench::experiments::run_experiments_bench_with(
-                &config,
-                bench::experiments_bench_workers(),
+            let report = experiments::run_experiments_bench(workers);
+            (json, flags) = (
+                Some(experiments::bench_experiments_json(&report)),
+                report.flags(),
             );
-            write_artifact(path, &bench::experiments::bench_experiments_json(&report));
-            bench::experiments::render_report(&report)
+            experiments::render_report(&report)
         }
         "lint" => {
-            let (config, path) = if smoke {
-                (bench::lint::smoke_config(), "BENCH_lint.smoke.json")
-            } else {
-                (bench::lint::scaled_config(), "BENCH_lint.json")
-            };
-            let report =
-                bench::lint::run_lint_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::lint::bench_lint_json(&report));
-            bench::lint::render_report(&report)
+            let report = lint::run_lint_bench(workers);
+            (json, flags) = (Some(lint::bench_lint_json(&report)), report.flags());
+            lint::render_report(&report)
         }
         "service" => {
-            let (config, path) = if smoke {
-                (bench::service::smoke_config(), "BENCH_service.smoke.json")
-            } else {
-                (bench::service::scaled_config(), "BENCH_service.json")
-            };
-            let report =
-                bench::service::run_service_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::service::bench_service_json(&report));
-            bench::service::render_report(&report)
+            let report = service::run_service_bench(workers);
+            (json, flags) = (Some(service::bench_service_json(&report)), report.flags());
+            service::render_report(&report)
         }
         "dsl" => {
-            let (config, path) = if smoke {
-                (bench::dsl::smoke_config(), "BENCH_dsl.smoke.json")
-            } else {
-                (bench::dsl::scaled_config(), "BENCH_dsl.json")
-            };
-            let report =
-                bench::dsl::run_dsl_bench_with(&config, bench::experiments_bench_workers());
-            write_artifact(path, &bench::dsl::bench_dsl_json(&report));
-            bench::dsl::render_report(&report)
+            let report = dsl::run_dsl_bench(workers);
+            (json, flags) = (Some(dsl::bench_dsl_json(&report)), report.flags());
+            dsl::render_report(&report)
         }
         "all" => bench::all(),
+        "gate" => std::process::exit(if gate::run() { 0 } else { 1 }),
         other => {
             eprintln!(
                 "unknown artefact `{other}`; expected table1, claims, figure1, haley, \
                  greenwell, exp-a..exp-e, graph, logic, af, fol, ltl, experiments, lint, \
-                 service, dsl, or all"
+                 service, dsl, all, or gate"
             );
             std::process::exit(2);
         }
     };
+    if let Some(json) = json {
+        write_artifact(&format!("BENCH_{arg}.json"), &json);
+    }
     print!("{output}");
+    if !gate::full_scale_holds(&arg, &flags) {
+        std::process::exit(1);
+    }
 }

@@ -56,16 +56,6 @@ pub fn scaled_config() -> DslBenchConfig {
     }
 }
 
-/// The CI smoke corpus (`repro dsl --smoke`): small enough to finish in
-/// seconds, large enough that every defect class appears over a hundred
-/// times.
-pub fn smoke_config() -> DslBenchConfig {
-    DslBenchConfig {
-        files: 960,
-        nodes_per_file: 8,
-    }
-}
-
 /// A well-formed file: a formalised root goal over a context and a
 /// strategy over a striped mix of propositional, temporal, and
 /// undeveloped premise declarations.
@@ -171,7 +161,7 @@ fn seed_containment(sources: &[String], loaded: &[LoadedCase]) -> bool {
 }
 
 /// The measured comparison, serialized into `BENCH_dsl.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DslBenchReport {
     /// Files in the corpus.
     pub files: usize,
@@ -233,8 +223,8 @@ pub fn run_dsl_bench(workers: usize) -> DslBenchReport {
     run_dsl_bench_with(&scaled_config(), workers)
 }
 
-/// Runs the comparison on an explicit corpus shape (the smoke gate
-/// passes [`smoke_config`]).
+/// Runs the comparison on an explicit corpus shape (`repro gate` passes
+/// its smoke-scale one).
 pub fn run_dsl_bench_with(config: &DslBenchConfig, workers: usize) -> DslBenchReport {
     let sources = dsl_corpus(config);
     let source_bytes: usize = sources.iter().map(String::len).sum();

@@ -39,18 +39,6 @@ pub fn scaled_config() -> exp_a::Config {
     }
 }
 
-/// The scaled-down population for the CI smoke gate (`--smoke`): same
-/// fixed seed, small enough that the whole comparison (legacy loop
-/// included) finishes in seconds.
-pub fn smoke_config() -> exp_a::Config {
-    exp_a::Config {
-        per_arm: 150,
-        arguments: 4,
-        hazards: 8,
-        seed: 0x5CA1E,
-    }
-}
-
 /// The pre-runtime measurement loop: one subject at a time, and every
 /// treatment review pays a fresh [`check_argument`] compilation instead
 /// of sharing one compilation per argument. Byte-identical output to
@@ -121,7 +109,7 @@ pub fn legacy_exp_a(config: &exp_a::Config) -> exp_a::Report {
 }
 
 /// The measured comparison, serialized into `BENCH_experiments.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ExperimentsBenchReport {
     /// Simulated subjects across both arms.
     pub subjects: usize,
@@ -160,8 +148,8 @@ pub fn run_experiments_bench(workers: usize) -> ExperimentsBenchReport {
     run_experiments_bench_with(&scaled_config(), workers)
 }
 
-/// Runs the comparison on an explicit population configuration (the
-/// smoke gate passes [`smoke_config`]).
+/// Runs the comparison on an explicit population configuration
+/// (`repro gate` passes its smoke-scale one).
 pub fn run_experiments_bench_with(
     config: &exp_a::Config,
     workers: usize,

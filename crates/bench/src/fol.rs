@@ -152,7 +152,7 @@ pub struct FolSweepPoint {
 }
 
 /// The measured comparison, serialized into `BENCH_fol.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct FolBenchReport {
     /// Total seed time / total interned time across the sweep.
     pub speedup: f64,

@@ -201,7 +201,7 @@ pub fn indexed_structural_sweep(argument: &Argument) -> SweepSummary {
 }
 
 /// The measured comparison, serialized into `BENCH_graph.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct GraphBenchReport {
     /// Node count of the synthetic argument.
     pub nodes: usize,

@@ -19,11 +19,22 @@ pub mod af;
 pub mod dsl;
 pub mod experiments;
 pub mod fol;
+pub mod gate;
 pub mod graph;
 pub mod lint;
 pub mod logic;
 pub mod ltl;
 pub mod service;
+
+/// Writes `json` to `path`, warning instead of failing on I/O errors
+/// (the artefact is also printed or judged).
+pub fn write_artifact(path: &str, json: &str) {
+    if let Err(e) = std::fs::write(path, json) {
+        eprintln!("warning: could not write {path}: {e}");
+    } else {
+        eprintln!("wrote {path}");
+    }
+}
 
 /// Runs `f` `runs` times and returns the fastest wall-clock time in
 /// milliseconds together with the last result (benchmark arms are
@@ -189,85 +200,6 @@ pub fn experiment_e() -> String {
         .render()
 }
 
-/// Runs the graph-core sweep comparison (10k-node synthetic argument)
-/// and renders the summary. The JSON artifact is written by `repro
-/// graph`.
-pub fn graph_bench() -> String {
-    let report = graph::run_graph_bench(10_000);
-    graph::render_report(&report)
-}
-
-/// Runs the logic-core batch entailment comparison (120-theory seeded
-/// population plus the full hard-instance population) and renders the
-/// summary. The JSON artifact is written by `repro logic`.
-pub fn logic_bench() -> String {
-    let report = logic::run_logic_bench(120, &logic::hard_population_full());
-    logic::render_report(&report)
-}
-
-/// Runs the argumentation-framework engine comparison (subset
-/// enumeration vs SAT labelling vs SCC decomposition, plus the
-/// grounded chain, the SAT-path sizes, and a cross-checked decomposed
-/// scenario) and renders the summary. The JSON artifact — including
-/// the 10^4/10^5 decomposed-only scenarios — is written by `repro af`.
-pub fn af_bench() -> String {
-    let report = af::run_af_bench(12, 6, 300, &[12, 50, 200, 1000], &[2_000], 2_000);
-    af::render_report(&report)
-}
-
-/// Runs the FOL resolution comparison (seed clause-scan engine vs the
-/// interned first-argument-indexed engine on seeded reachability
-/// programs, cross-checked answer-for-answer, plus the interned-only
-/// deep chain) and renders the summary. The JSON artifact is written by
-/// `repro fol`.
-pub fn fol_bench() -> String {
-    let report = fol::run_fol_bench(&[200, 400, 800], 30_000);
-    fol::render_report(&report)
-}
-
-/// Runs the LTL bounded-checking comparison (seed trace checker vs the
-/// CSR closure-table checker on seeded ring-with-chords structures,
-/// cross-checked result-for-result, plus the CSR-only deep point) and
-/// renders the summary. The JSON artifact is written by `repro ltl`.
-pub fn ltl_bench() -> String {
-    let report = ltl::run_ltl_bench(&[(10, 30, 10), (12, 36, 11)], (14, 42, 12));
-    ltl::render_report(&report)
-}
-
-/// Runs the CaseLint comparison (full lint-pass set over the synthetic
-/// defect corpus, recompile-per-lint vs compile-once sweep) and renders
-/// the summary. The JSON artifact is written by `repro lint`.
-pub fn lint_bench() -> String {
-    let report = lint::run_lint_bench(experiments_bench_workers());
-    lint::render_report(&report)
-}
-
-/// Runs the CaseService comparison (a fleet of live cases under mixed
-/// edit/query traffic, recompile-per-query vs incremental sessions)
-/// and renders the summary. The JSON artifact is written by `repro
-/// service`.
-pub fn service_bench() -> String {
-    let report = service::run_service_bench(experiments_bench_workers());
-    service::render_report(&report)
-}
-
-/// Runs the DSL-frontend comparison (sharded recover-and-continue
-/// corpus ingestion vs the serial abort-on-first-error seed parser on a
-/// defect-striped 10k-file corpus) and renders the summary. The JSON
-/// artifact is written by `repro dsl`.
-pub fn dsl_bench() -> String {
-    let report = dsl::run_dsl_bench(experiments_bench_workers());
-    dsl::render_report(&report)
-}
-
-/// Runs the experiment-runtime comparison (scaled §VI-A population,
-/// legacy vs cached-serial vs parallel) and renders the summary. The
-/// JSON artifact is written by `repro experiments`.
-pub fn experiments_bench() -> String {
-    let report = experiments::run_experiments_bench(experiments_bench_workers());
-    experiments::render_report(&report)
-}
-
 /// Worker count for the parallel arm: an explicit `RUNTIME_WORKERS`
 /// pin is honored exactly (so a 1- or 2-worker measurement answers the
 /// question that was asked); otherwise every available core — and
@@ -279,8 +211,12 @@ pub fn experiments_bench_workers() -> usize {
     Runtime::pinned_from_env().unwrap_or_else(Runtime::host_parallelism)
 }
 
-/// Every artefact, concatenated (the `repro all` output).
+/// Every artefact, concatenated (the `repro all` output). The
+/// benchmark sections run at full scale, except that the AF section
+/// stops its decomposed scenarios at 2k arguments; each `repro
+/// <artefact>` also writes its `BENCH_*.json`.
 pub fn all() -> String {
+    let workers = experiments_bench_workers();
     let mut out = String::new();
     for section in [
         table_i(),
@@ -293,15 +229,25 @@ pub fn all() -> String {
         experiment_c(),
         experiment_d(),
         experiment_e(),
-        graph_bench(),
-        logic_bench(),
-        af_bench(),
-        fol_bench(),
-        ltl_bench(),
-        experiments_bench(),
-        lint_bench(),
-        service_bench(),
-        dsl_bench(),
+        graph::render_report(&graph::run_graph_bench(10_000)),
+        logic::render_report(&logic::run_logic_bench(120, &logic::hard_population_full())),
+        af::render_report(&af::run_af_bench(
+            12,
+            6,
+            300,
+            &[12, 50, 200, 1000],
+            &[2_000],
+            2_000,
+        )),
+        fol::render_report(&fol::run_fol_bench(&[200, 400, 800], 30_000)),
+        ltl::render_report(&ltl::run_ltl_bench(
+            &[(10, 30, 10), (12, 36, 11)],
+            (14, 42, 12),
+        )),
+        experiments::render_report(&experiments::run_experiments_bench(workers)),
+        lint::render_report(&lint::run_lint_bench(workers)),
+        service::render_report(&service::run_service_bench(workers)),
+        dsl::render_report(&dsl::run_dsl_bench(workers)),
     ] {
         out.push_str(&section);
         out.push('\n');

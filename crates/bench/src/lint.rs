@@ -48,16 +48,6 @@ pub fn scaled_config() -> LintBenchConfig {
     }
 }
 
-/// The CI smoke corpus (`repro lint --smoke`): small enough to finish
-/// in seconds, large enough that the compile-once ratio is stable.
-pub fn smoke_config() -> LintBenchConfig {
-    LintBenchConfig {
-        arguments: 30,
-        premises: 3,
-        width: 18,
-    }
-}
-
 /// Atom `j` of premise `i`'s chain. Descriptive names, as real
 /// formalised cases carry ("`hazard_h7_mitigation_verified`", not
 /// "`p3`"): the frontend pays to lex and intern them, which is exactly
@@ -181,7 +171,7 @@ fn engine_lint_corpus(
 }
 
 /// The measured comparison, serialized into `BENCH_lint.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LintBenchReport {
     /// Arguments in the corpus.
     pub arguments: usize,
@@ -221,8 +211,8 @@ pub fn run_lint_bench(workers: usize) -> LintBenchReport {
     run_lint_bench_with(&scaled_config(), workers)
 }
 
-/// Runs the comparison on an explicit corpus shape (the smoke gate
-/// passes [`smoke_config`]).
+/// Runs the comparison on an explicit corpus shape (`repro gate` passes
+/// its smoke-scale one).
 pub fn run_lint_bench_with(config: &LintBenchConfig, workers: usize) -> LintBenchReport {
     let sources = lint_corpus(config);
     let lint_config = LintConfig::new();

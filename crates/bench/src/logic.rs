@@ -268,7 +268,7 @@ pub fn hard_population_full() -> Vec<HardInstance> {
     ]
 }
 
-/// The scaled-down population for the CI smoke gate (`--smoke`).
+/// The scaled-down population for the smoke gate (`repro gate`).
 pub fn hard_population_smoke() -> Vec<HardInstance> {
     vec![
         hard_instance(10, 4, false),
@@ -327,7 +327,7 @@ pub fn solve_hard_legacy(inst: &HardInstance) -> bool {
 /// The hard-instance comparison: CDCL vs chronological DPLL vs the
 /// legacy recursive solver on the same population, verdicts verified
 /// against each other *and* against the constructions' ground truth.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct HardBenchReport {
     /// Instances in the population.
     pub instances: usize,
@@ -401,7 +401,7 @@ pub fn run_hard_bench(population: &[HardInstance]) -> HardBenchReport {
 }
 
 /// The measured comparison, serialized into `BENCH_logic.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LogicBenchReport {
     /// Arguments in the seeded population.
     pub population: usize,

@@ -133,7 +133,7 @@ pub struct LtlSweepPoint {
 }
 
 /// The measured comparison, serialized into `BENCH_ltl.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct LtlBenchReport {
     /// Total naive time / total CSR time across the sweep.
     pub speedup: f64,

@@ -60,18 +60,6 @@ pub fn scaled_config() -> ServiceBenchConfig {
     }
 }
 
-/// The CI smoke workload (`repro service --smoke`): small enough to
-/// finish in seconds, mixed enough that every op class and every
-/// session cache is exercised.
-pub fn smoke_config() -> ServiceBenchConfig {
-    ServiceBenchConfig {
-        cases: 60,
-        premises: 3,
-        width: 10,
-        rounds: 5,
-    }
-}
-
 /// Builds the corpus the traffic runs over. Every case is a two-level
 /// deduction: the top claim (the conjunction of every branch's chain
 /// end) argued over a strategy over `premises` formalised *branch*
@@ -231,7 +219,7 @@ fn service_run(
 }
 
 /// The measured comparison, serialized into `BENCH_service.json`.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct ServiceBenchReport {
     /// Concurrently live cases.
     pub cases: usize,
@@ -283,8 +271,8 @@ pub fn run_service_bench(workers: usize) -> ServiceBenchReport {
     run_service_bench_with(&scaled_config(), workers)
 }
 
-/// Runs the comparison on an explicit workload shape (the smoke gate
-/// passes [`smoke_config`]).
+/// Runs the comparison on an explicit workload shape (`repro gate` passes
+/// its smoke-scale one).
 pub fn run_service_bench_with(config: &ServiceBenchConfig, workers: usize) -> ServiceBenchReport {
     let corpus = service_corpus(config);
     let traffic = service_traffic(config);

@@ -143,16 +143,6 @@ mod tests {
     use rand::Rng;
 
     #[test]
-    fn map_preserves_input_order_for_every_worker_count() {
-        let items: Vec<usize> = (0..103).collect();
-        let serial = Runtime::serial().map(&items, |i, &x| (i, x * 2));
-        for workers in [2, 3, 4, 8, 64, 1000] {
-            let parallel = Runtime::with_workers(workers).map(&items, |i, &x| (i, x * 2));
-            assert_eq!(serial, parallel, "workers = {workers}");
-        }
-    }
-
-    #[test]
     fn stream_rng_is_per_index_deterministic_and_lane_separated() {
         let draws = |lane: u64, index: u64| -> Vec<f64> {
             let mut rng = stream_rng(0xFEED, lane, index);
@@ -175,14 +165,6 @@ mod tests {
             let db: Vec<u64> = (0..4).map(|_| b.gen::<u64>()).collect();
             assert_eq!(da, db, "index {index}");
         }
-    }
-
-    #[test]
-    fn env_configured_runtime_matches_serial_results() {
-        let items: Vec<usize> = (0..57).collect();
-        let serial = Runtime::serial().map(&items, |i, &x| (i, x.wrapping_mul(31)));
-        let from_env = Runtime::from_env().map(&items, |i, &x| (i, x.wrapping_mul(31)));
-        assert_eq!(serial, from_env);
     }
 
     #[test]

@@ -130,8 +130,9 @@ impl Runtime {
     /// count unobservable in the output. Small inputs (fewer than
     /// `2 *` [`MIN_CHUNK`] items) and `workers == 1` run as a plain
     /// inline loop; otherwise items are split into contiguous chunks of
-    /// at least [`MIN_CHUNK`] items, one scoped thread per chunk, and
-    /// the per-chunk outputs are concatenated back in order into one
+    /// at least [`MIN_CHUNK`] items, the calling thread runs the first
+    /// chunk and one scoped thread runs each other chunk, and the
+    /// per-chunk outputs are concatenated back in order into one
     /// exactly-sized allocation.
     ///
     /// # Panics
@@ -149,30 +150,14 @@ impl Runtime {
             return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
         }
         let chunk_len = items.len().div_ceil(workers);
-        let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks(chunk_len)
-                .enumerate()
-                .map(|(chunk_index, chunk)| {
-                    scope.spawn(move || {
-                        let base = chunk_index * chunk_len;
-                        let mut out = Vec::with_capacity(chunk.len());
-                        out.extend(chunk.iter().enumerate().map(|(j, x)| f(base + j, x)));
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
+        fan_out(
+            items.len(),
+            chunk_len,
+            items.chunks(chunk_len),
+            |base, chunk, out| {
+                out.extend(chunk.iter().enumerate().map(|(j, x)| f(base + j, x)));
+            },
+        )
     }
 
     /// [`Runtime::map`] over *mutable* items: applies `f` to every item
@@ -204,31 +189,49 @@ impl Runtime {
             return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
         }
         let chunk_len = items.len().div_ceil(workers);
-        let chunks: Vec<Vec<R>> = std::thread::scope(|scope| {
-            let f = &f;
-            let handles: Vec<_> = items
-                .chunks_mut(chunk_len)
-                .enumerate()
-                .map(|(chunk_index, chunk)| {
-                    scope.spawn(move || {
-                        let base = chunk_index * chunk_len;
-                        let mut out = Vec::with_capacity(chunk.len());
-                        out.extend(chunk.iter_mut().enumerate().map(|(j, x)| f(base + j, x)));
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("runtime worker panicked"))
-                .collect()
-        });
-        let mut out = Vec::with_capacity(items.len());
-        for chunk in chunks {
-            out.extend(chunk);
-        }
-        out
+        fan_out(
+            items.len(),
+            chunk_len,
+            items.chunks_mut(chunk_len),
+            |base, chunk, out| {
+                out.extend(chunk.iter_mut().enumerate().map(|(j, x)| f(base + j, x)));
+            },
+        )
     }
+}
+
+/// The threaded half of [`Runtime::map`] and [`Runtime::map_mut`], for
+/// two or more chunks: one scoped thread runs each chunk after the
+/// first, the calling thread runs the first straight into the output,
+/// then the other chunks' outputs are appended in order. `run(base,
+/// chunk, out)` pushes one result per item, the first item's index being
+/// `base`.
+fn fan_out<C: Send, R: Send>(
+    len: usize,
+    chunk_len: usize,
+    chunks: impl Iterator<Item = C>,
+    run: impl Fn(usize, C, &mut Vec<R>) + Sync,
+) -> Vec<R> {
+    let mut out = Vec::with_capacity(len);
+    std::thread::scope(|scope| {
+        let run = &run;
+        let mut chunks = chunks.enumerate();
+        let (_, first) = chunks.next().expect("two or more chunks");
+        let handles: Vec<_> = chunks
+            .map(|(index, chunk)| {
+                scope.spawn(move || {
+                    let mut part = Vec::with_capacity(chunk_len);
+                    run(index * chunk_len, chunk, &mut part);
+                    part
+                })
+            })
+            .collect();
+        run(0, first, &mut out);
+        for handle in handles {
+            out.extend(handle.join().expect("runtime worker panicked"));
+        }
+    });
+    out
 }
 
 #[cfg(test)]

@@ -3,15 +3,16 @@
 # [workload] [seed]` runs one BENCHMARK.json workload end to end, then
 # traced for its per-layer split.
 
-# Format, lint, test, bench, and regenerate BENCH_graph.json.
+# Format, lint, test, bench, regenerate every BENCH_*.json, and run
+# the smoke bench gate.
 check:
     ./scripts/check.sh
 
 # Mirror the CI pipeline locally, in job order: fmt, clippy, rustdoc
-# with warnings denied, release build + tests (the perfbench package's
-# tests under --locked included), the deny-level example lint, the
-# malformed-fixture gate, the smoke bench-regression gate, then the
-# perfbench correctness smoke.
+# with warnings denied, release build + tests (the caselint CLI checks
+# over examples/cases and the perfbench package's tests under --locked
+# included), the smoke bench-regression gate, then the perfbench
+# correctness smoke.
 ci:
     cargo fmt --all --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -19,21 +20,8 @@ ci:
     cargo build --release
     cargo test -q
     cargo test --release --locked --manifest-path perfbench/Cargo.toml
-    cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
-    just lint-malformed
-    ./scripts/bench_gate.sh
+    cargo run --release -q -p casekit-bench --bin repro -- gate
     just perf-smoke
-
-# The malformed fixtures under examples/cases/malformed/ must FAIL
-# caselint, with every CK2xx syntax code class represented.
-lint-malformed:
-    if out="$(cargo run --release -q -p casekit-analysis --bin caselint -- examples/cases/malformed)"; then \
-      echo "caselint unexpectedly passed on examples/cases/malformed"; exit 1; \
-    fi; \
-    for code in CK201 CK202 CK203 CK204 CK205 CK206; do \
-      printf '%s' "$out" | grep -q "\[$code\]" \
-        || { echo "malformed fixtures produced no $code diagnostic"; exit 1; }; \
-    done
 
 # Every BENCHMARK.json workload once at seed 1 for 5 s (a 1 s ingest
 # run has too few samples for its p99): fails unless each result line
@@ -46,9 +34,10 @@ perf-smoke:
         || { printf '%s\n' "$out"; echo "perfbench $workload: wrong output or failed ops"; exit 1; }; \
     done
 
-# The smoke bench-regression gate alone (BENCH_*.smoke.json + floors).
+# The smoke bench-regression gate alone: every floor on its median
+# over five rounds, every agreement flag in every round.
 bench-gate:
-    ./scripts/bench_gate.sh
+    cargo run --release -q -p casekit-bench --bin repro -- gate
 
 # Format the workspace in place.
 fmt:
@@ -58,9 +47,9 @@ fmt:
 clippy:
     cargo clippy --workspace --all-targets -- -D warnings
 
-# CaseLint over the bundled example corpus, every lint at deny level.
-# The malformed fixtures under examples/cases/malformed/ have their own
-# gate (`just lint-malformed`; they must *fail* caselint).
+# CaseLint over the bundled example corpus, every lint at deny level,
+# for reading. `cargo test` gates it, and the malformed fixtures under
+# examples/cases/malformed/ (crates/analysis/tests/caselint_cli.rs).
 lint:
     cargo run --release -q -p casekit-analysis --bin caselint -- --deny examples/cases/*.case
 
