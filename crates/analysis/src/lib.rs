@@ -39,9 +39,7 @@
 //!
 //! [`lint_source`] parses a `.case` text once and lints the built
 //! argument; [`lint_sources`] farms a whole corpus of source texts
-//! across `casekit-runtime` worker threads. [`lint_sweep`] does the
-//! same for already-built arguments, and [`lint_sweep_cached`] reuses
-//! compilations from a [`TheoryCache`]. All are worker-count
+//! across `casekit-runtime` worker threads. It is worker-count
 //! invariant: the per-argument lint is a pure function, and
 //! [`Runtime::map`] is order-preserving. The one-tool-per-lint cost
 //! model — fifteen standalone checkers, each re-parsing the source and
@@ -76,7 +74,7 @@ pub use source::{check_source, check_sources, check_syntax, excerpt, SourceAnaly
 pub use witness::WitnessPool;
 
 use casekit_core::dsl::parse_argument;
-use casekit_core::semantics::{ArgumentTheory, TheoryCache};
+use casekit_core::semantics::ArgumentTheory;
 use casekit_core::Argument;
 use casekit_logic::ParseError;
 use casekit_runtime::Runtime;
@@ -119,7 +117,7 @@ pub fn lint_sources(
 }
 
 /// [`lint_argument`] against an already-compiled session (fresh from
-/// [`ArgumentTheory::compile`] or cloned out of a [`TheoryCache`]).
+/// [`ArgumentTheory::compile`], or a long-lived one).
 /// Passes retract every assumption they push, so one session serves
 /// any number of lint runs.
 pub fn lint_compiled(
@@ -149,42 +147,6 @@ pub fn lint_compiled_with_pool(
     structural::run(argument, &mut sink);
     logical::run_all_with(argument, theory, pool, &mut sink);
     sink.finish()
-}
-
-/// Lints a corpus, one compilation per argument, sharded across the
-/// runtime's workers. Output is index-aligned with `arguments` and
-/// byte-identical at any worker count (the per-item lint is pure and
-/// [`Runtime::map`] preserves order).
-pub fn lint_sweep(
-    arguments: &[Argument],
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<Vec<Diagnostic>> {
-    runtime.map(arguments, |_, argument| lint_argument(argument, config))
-}
-
-/// [`lint_sweep`] against compilations already paid for: each worker
-/// clones a private session from the cache instead of recompiling.
-///
-/// # Panics
-///
-/// Panics if `cache` was not built over exactly this `arguments` slice
-/// (same length, same order).
-pub fn lint_sweep_cached(
-    arguments: &[Argument],
-    cache: &TheoryCache,
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<Vec<Diagnostic>> {
-    assert_eq!(
-        arguments.len(),
-        cache.len(),
-        "theory cache must cover the argument corpus"
-    );
-    runtime.map(arguments, |i, argument| {
-        let mut session = cache.session(i);
-        lint_compiled(argument, &mut session, config)
-    })
 }
 
 #[cfg(test)]
@@ -465,35 +427,6 @@ mod tests {
                 ))
             });
             assert_eq!(compiled, sorted, "canonical order");
-        }
-    }
-
-    #[test]
-    fn sweep_matches_per_argument_lint_and_cached_sweep() {
-        let arguments: Vec<Argument> = vec![
-            clean_case(),
-            case(
-                r#"argument "clash" {
-                    goal g1 "conclusion" formal "c" {
-                      goal g2 "claims p" formal "p" { solution e1 "a" }
-                      goal g3 "claims not p" formal "~p" { solution e2 "b" }
-                    }
-                }"#,
-            ),
-        ];
-        let config = LintConfig::new();
-        let serial: Vec<Vec<Diagnostic>> = arguments
-            .iter()
-            .map(|a| lint_argument(a, &config))
-            .collect();
-        for workers in [1, 2, 4] {
-            let runtime = Runtime::with_workers(workers);
-            assert_eq!(lint_sweep(&arguments, &config, &runtime), serial);
-            let cache = TheoryCache::compile(&arguments);
-            assert_eq!(
-                lint_sweep_cached(&arguments, &cache, &config, &runtime),
-                serial
-            );
         }
     }
 }

@@ -168,13 +168,16 @@ pub fn parse_argument(input: &str) -> Result<Argument, ParseError> {
 }
 
 /// Renders an argument back into DSL text (single-parent tree shape only:
-/// extra edges are emitted as `ref` children).
+/// extra edges are emitted as `ref` children). Nodes no root reaches,
+/// such as a detached support cycle, start from the first of them in id
+/// order.
 pub fn render_dsl(argument: &Argument) -> String {
     let mut out = format!("argument \"{}\" {{\n", escape(argument.name()));
     let mut emitted = vec![false; argument.len()];
-    let roots: Vec<crate::argument::NodeIdx> = argument.sorted_roots_idx().collect();
-    for root in roots {
-        render_node(argument, root, 1, &mut out, &mut emitted);
+    for start in argument.sorted_roots_idx().chain(argument.sorted_indices()) {
+        if !emitted[start.index()] {
+            render_node(argument, start, 1, &mut out, &mut emitted);
+        }
     }
     out.push_str("}\n");
     out

@@ -19,6 +19,12 @@
 //! stay source-compatible and route through a single compilation;
 //! callers with several questions about the same argument should
 //! compile once and reuse the theory.
+//!
+//! A step's children are the formalised nodes below it, reached through
+//! unformalised strategies. The walk that collects them keeps its own
+//! stack and marks what it reaches, so no graph depth overflows the
+//! call stack, a strategy cycle ends, and a child reached over several
+//! strategy paths is listed once.
 
 use crate::argument::{Argument, NodeIdx};
 use crate::node::{EdgeKind, FormalPayload, NodeId, NodeKind};
@@ -32,11 +38,12 @@ use std::collections::{BTreeSet, HashMap};
 /// formalised descendants providing support"). Borrowed from the
 /// argument's nodes — theory assembly allocates no formula clones.
 pub fn formal_premises(argument: &Argument) -> Vec<&Formula> {
+    let mut seen = vec![None; argument.len()];
     argument
         .sorted_indices()
         .map(|idx| (idx, argument.node_at(idx)))
         .filter(|(idx, n)| {
-            n.is_formalised() && formalised_support_children(argument, *idx).is_empty()
+            n.is_formalised() && formalised_support_children(argument, *idx, &mut seen).is_empty()
         })
         .filter_map(|(_, n)| match &n.formal {
             Some(FormalPayload::Prop(f)) => Some(f),
@@ -50,12 +57,13 @@ pub fn formal_premises(argument: &Argument) -> Vec<&Formula> {
 /// involved — so analyses that only need the *locations* of the
 /// premises (e.g. to anchor diagnostics) can ask without compiling.
 pub fn formal_premise_indices(argument: &Argument) -> Vec<NodeIdx> {
+    let mut seen = vec![None; argument.len()];
     argument
         .sorted_indices()
         .filter(|idx| {
             let n = argument.node_at(*idx);
             matches!(n.formal, Some(FormalPayload::Prop(_)))
-                && formalised_support_children(argument, *idx).is_empty()
+                && formalised_support_children(argument, *idx, &mut seen).is_empty()
         })
         .collect()
 }
@@ -79,19 +87,40 @@ pub fn formal_conclusion(argument: &Argument) -> Option<&Formula> {
         })
 }
 
-/// Formalised children supporting `idx` (transitively skipping
-/// unformalised strategies, which GSN interposes between goals).
-fn formalised_support_children(argument: &Argument, idx: NodeIdx) -> Vec<NodeIdx> {
+/// Formalised children supporting `step`, depth first in child order,
+/// through the unformalised strategies GSN interposes between goals.
+/// `seen` has one slot per node and is shared by every walk of a pass;
+/// a slot stamped with `step` was reached in this walk, so each node is
+/// expanded at most once per step and a strategy cycle ends.
+fn formalised_support_children(
+    argument: &Argument,
+    step: NodeIdx,
+    seen: &mut [Option<NodeIdx>],
+) -> Vec<NodeIdx> {
     let mut out = Vec::new();
-    for child_idx in argument.children_idx(idx, EdgeKind::SupportedBy) {
-        let child = argument.node_at(child_idx);
-        if child.is_formalised() {
-            out.push(child_idx);
-        } else if child.kind == NodeKind::Strategy {
-            out.extend(formalised_support_children(argument, child_idx));
+    let mut children = argument.children_idx(step, EdgeKind::SupportedBy);
+    // The child iterators of the strategies entered above `children`,
+    // on the heap so that no graph depth can overflow the call stack.
+    let mut outer = Vec::new();
+    loop {
+        let Some(idx) = children.next() else {
+            match outer.pop() {
+                Some(resume) => children = resume,
+                None => return out,
+            }
+            continue;
+        };
+        if seen[idx.index()].replace(step) == Some(step) {
+            continue;
+        }
+        let node = argument.node_at(idx);
+        if node.is_formalised() {
+            out.push(idx);
+        } else if node.kind == NodeKind::Strategy {
+            let inner = argument.children_idx(idx, EdgeKind::SupportedBy);
+            outer.push(std::mem::replace(&mut children, inner));
         }
     }
-    out
 }
 
 /// Per-node memo of compiled payload literals for
@@ -340,11 +369,12 @@ impl ArgumentTheory {
         // Checkable support steps, in arena order (the legacy report
         // order of `non_deductive_steps`).
         let mut steps = Vec::new();
+        let mut seen = vec![None; argument.len()];
         for idx in argument.node_indices() {
             let Some(parent_lit) = lits[idx.index()] else {
                 continue;
             };
-            let children = formalised_support_children(argument, idx);
+            let children = formalised_support_children(argument, idx, &mut seen);
             if children.is_empty() {
                 continue;
             }
@@ -529,68 +559,6 @@ impl ArgumentTheory {
             entailed: true,
             impacts,
         })
-    }
-}
-
-/// An immutable, thread-shareable store of compiled argument theories —
-/// one [`ArgumentTheory`] per argument, compiled up front.
-///
-/// Compilation (the only formula traversal) happens once per argument;
-/// afterwards the cache is read-only, so `&TheoryCache` can be handed to
-/// any number of worker threads (`Send + Sync` — every constituent is
-/// plain data behind `Arc<str>` atoms). Because solver questions need
-/// `&mut` (they push and retract assumption trails), each asker clones a
-/// private [`session`](TheoryCache::session): a flat copy of the
-/// compiled clause database, far cheaper than re-running Tseitin
-/// compilation from the argument's formulas. This is what lets a
-/// parallel review harness share one compilation per argument across
-/// all workers instead of recompiling per review.
-#[derive(Debug, Clone, Default)]
-pub struct TheoryCache {
-    compiled: Vec<ArgumentTheory>,
-}
-
-impl TheoryCache {
-    /// Compiles every argument in order. The cache is indexed by the
-    /// argument's position in `arguments`.
-    pub fn compile<'a, I>(arguments: I) -> Self
-    where
-        I: IntoIterator<Item = &'a Argument>,
-    {
-        TheoryCache {
-            compiled: arguments.into_iter().map(ArgumentTheory::compile).collect(),
-        }
-    }
-
-    /// Wraps theories compiled elsewhere (e.g. in parallel) into a cache.
-    pub fn from_compiled(compiled: Vec<ArgumentTheory>) -> Self {
-        TheoryCache { compiled }
-    }
-
-    /// Number of cached theories.
-    pub fn len(&self) -> usize {
-        self.compiled.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.compiled.is_empty()
-    }
-
-    /// Borrows the compiled theory at `index`, if present.
-    pub fn get(&self, index: usize) -> Option<&ArgumentTheory> {
-        self.compiled.get(index)
-    }
-
-    /// A private mutable session over the theory at `index`: a clone of
-    /// the compiled clause database, ready for assumption rounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds (caches are built from the
-    /// same slice the caller is iterating).
-    pub fn session(&self, index: usize) -> ArgumentTheory {
-        self.compiled[index].clone()
     }
 }
 
@@ -803,23 +771,50 @@ mod tests {
         assert!(!premises.iter().any(|p| **p == q));
     }
 
+    /// The formalised children `step` compiles to, by id.
+    fn step_children(src: &str, step: &str) -> Vec<String> {
+        let a = crate::dsl::parse_argument(src).unwrap();
+        let idx = a.node_idx(&step.into()).unwrap();
+        ArgumentTheory::compile(&a)
+            .step_children(idx)
+            .unwrap_or_default()
+            .iter()
+            .map(|&c| a.id_at(c).to_string())
+            .collect()
+    }
+
     #[test]
-    fn theory_cache_sessions_are_independent_and_shareable() {
-        fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<TheoryCache>();
-        let a = deductive_case();
-        let cache = TheoryCache::compile([&a]);
-        assert_eq!(cache.len(), 1);
-        assert!(!cache.is_empty());
-        assert!(cache.get(0).is_some());
-        assert!(cache.get(1).is_none());
-        // Two sessions from the same compilation answer independently
-        // (each carries its own assumption trail).
-        let mut s1 = cache.session(0);
-        let mut s2 = cache.session(0);
-        assert_eq!(s1.root_entailed(), Some(true));
-        assert_eq!(s2.root_entailed(), Some(true));
-        assert_eq!(s1.probe(&a).unwrap().critical_indices(), vec![0, 1]);
+    fn support_walk_visits_each_node_once_per_step() {
+        // Tree order: depth first through strategies, children in order.
+        let tree = r#"argument "tree" {
+            goal g1 "top" formal "p" {
+              strategy s1 "split" {
+                goal g2 "a" formal "a"
+                strategy s2 "inner" { goal g3 "b" formal "b" }
+                goal g4 "c" formal "c"
+              }
+              goal g5 "d" formal "d"
+            }
+          }"#;
+        assert_eq!(step_children(tree, "g1"), ["g2", "g3", "g4", "g5"]);
+        // Two strategy paths to one goal list it once.
+        let diamond = r#"argument "diamond" {
+            goal g2 "shared" formal "q"
+            strategy s1 "left" { ref g2 }
+            strategy s2 "right" { ref g2 }
+            goal g1 "top" formal "p" { ref s1 ref s2 }
+          }"#;
+        assert_eq!(step_children(diamond, "g1"), ["g2"]);
+        // A strategy cycle below a step ends, with nothing to list.
+        let cycle = r#"argument "cycle" {
+            goal g1 "top" formal "p" { strategy s1 "a" { strategy s2 "b" { ref s1 } } }
+          }"#;
+        assert!(step_children(cycle, "g1").is_empty());
+        // A strategy path back to the step lists the step.
+        let back = r#"argument "back" {
+            goal g1 "top" formal "p" { strategy s1 "loop" { ref g1 } }
+          }"#;
+        assert_eq!(step_children(back, "g1"), ["g1"]);
     }
 
     #[test]

@@ -27,14 +27,11 @@
 //! Every study follows the same three-phase shape, and the [`runtime`]
 //! module is the executor for the middle one:
 //!
-//! 1. **Materials** (serial) — subject pools, generated arguments, and
-//!    their compiled theories are built once. Arguments that will be
-//!    machine-checked are swept through
-//!    [`runtime::machine_check_sweep`], which compiles and checks each
-//!    propositional skeleton exactly once and memoises the
-//!    deterministic findings, so no review ever recompiles a theory
-//!    (re-asking callers share compilations through an immutable
-//!    [`casekit_core::semantics::TheoryCache`]).
+//! 1. **Materials** (serial) — subject pools and generated arguments
+//!    are built once. Arguments that will be machine-checked are swept
+//!    through [`runtime::machine_check_sweep`], which compiles and
+//!    checks each propositional skeleton exactly once and memoises the
+//!    deterministic findings, so no review ever recompiles a theory.
 //! 2. **Measurement** (parallel) — the subject population is sharded
 //!    across scoped worker threads by [`runtime::Runtime::map`]. Each
 //!    subject draws from its own [`runtime::stream_rng`] stream derived

@@ -76,9 +76,8 @@ impl MachineReport {
 /// anywhere on the path.
 ///
 /// Callers that check the same argument repeatedly (e.g. a review
-/// harness asking once per simulated reviewer) should compile once —
-/// or pull a session from a [`casekit_core::semantics::TheoryCache`] —
-/// and call [`check_compiled`] instead of paying this compilation every
+/// harness asking once per simulated reviewer) should compile once and
+/// call [`check_compiled`] instead of paying this compilation every
 /// time.
 pub fn check_argument(argument: &Argument) -> MachineReport {
     let mut theory = ArgumentTheory::compile(argument);
@@ -88,11 +87,10 @@ pub fn check_argument(argument: &Argument) -> MachineReport {
 /// [`check_argument`] against an already-compiled theory session.
 ///
 /// `theory` must be a session over this `argument` (fresh from
-/// [`ArgumentTheory::compile`] or cloned out of a
-/// [`casekit_core::semantics::TheoryCache`]); the premise and conclusion
-/// literal lists are aligned with the argument's formal skeleton by
-/// construction. Checks fully retract their assumptions, so one session
-/// can serve any number of calls.
+/// [`ArgumentTheory::compile`], or a long-lived one); the premise and
+/// conclusion literal lists are aligned with the argument's formal
+/// skeleton by construction. Checks fully retract their assumptions, so
+/// one session can serve any number of calls.
 pub fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineReport {
     check_compiled_with(argument, theory, &mut SolverOracle)
 }

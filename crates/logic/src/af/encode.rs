@@ -19,6 +19,16 @@
 //! biject with complete *extensions*. Stable semantics adds
 //! `in_a ∨ out_a` (no undecided argument).
 //!
+//! The same clauses encode one strongly connected component for the
+//! SCC-decomposed engine ([`super::scc`]). The encoded list is then the
+//! component, and each member carries a summary of its attackers
+//! outside it: none or all `Out`, some `Undec`, or some `In`. An outside
+//! attacker that is not `Out` replaces the clause `in_a ∨ ⋁ ¬out_b`
+//! with the unit `¬in_a`; an outside `In` attacker also replaces
+//! `¬out_a ∨ ⋁ in_b` with the unit `out_a`. A whole framework has
+//! nothing outside, so it gets exactly the clauses above, in the same
+//! order.
+//!
 //! # Sessions, selectors, and enumeration
 //!
 //! One [`AfSat`] owns one persistent [`Solver`]; queries differ only in
@@ -40,9 +50,23 @@
 //! that is not below any reported one.
 
 use super::{ArgId, Framework};
+use crate::graph::Csr;
 use crate::prop::intern::Lit;
 use crate::prop::solver::Solver;
 use std::collections::BTreeSet;
+
+/// The strongest label among an argument's attackers outside the
+/// encoded list: the interface signature the SCC-decomposed engine
+/// hands each component, one per member.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum External {
+    /// No outside attacker, or every one is `Out`.
+    Out,
+    /// Some outside attacker is `Undec`, none is `In`.
+    Undec,
+    /// Some outside attacker is `In`.
+    In,
+}
 
 /// An incremental SAT session over one framework's labelling encoding.
 ///
@@ -60,24 +84,35 @@ pub struct AfSat {
 impl AfSat {
     /// Compiles the complete-semantics encoding of `af`.
     pub fn complete(af: &Framework) -> Self {
-        Self::build(af, false)
+        Self::encode(
+            &af.adjacency().attackers,
+            &vec![External::Out; af.len()],
+            false,
+        )
     }
 
     /// Compiles the stable-semantics encoding of `af` (complete plus
     /// totality: no undecided argument).
     pub fn stable(af: &Framework) -> Self {
-        Self::build(af, true)
+        Self::encode(
+            &af.adjacency().attackers,
+            &vec![External::Out; af.len()],
+            true,
+        )
     }
 
-    fn build(af: &Framework, total: bool) -> Self {
-        let n = af.len();
-        let adj = af.adjacency();
+    /// Compiles the labelling clauses of a list of arguments: row `a` of
+    /// `attackers` lists the attackers of `a` inside the list (by list
+    /// index), and `outside[a]` summarises the ones outside it. `total`
+    /// adds the stable semantics' no-`Undec` clauses.
+    pub(crate) fn encode(attackers: &Csr<ArgId>, outside: &[External], total: bool) -> Self {
+        let n = attackers.rows();
         let mut solver = Solver::new();
         let in_lits: Vec<Lit> = (0..n).map(|_| solver.new_var().positive()).collect();
         let out_lits: Vec<Lit> = (0..n).map(|_| solver.new_var().positive()).collect();
         let mut clause: Vec<Lit> = Vec::new();
         for a in 0..n {
-            let attackers = adj.attackers(a);
+            let attackers = attackers.row(a);
             solver.add_clause(&[!in_lits[a], !out_lits[a]]);
             // in_a ↔ every attacker out.
             clause.clear();
@@ -86,7 +121,11 @@ impl AfSat {
                 solver.add_clause(&[!in_lits[a], out_lits[b]]);
                 clause.push(!out_lits[b]);
             }
-            solver.add_clause(&clause);
+            if outside[a] == External::Out {
+                solver.add_clause(&clause);
+            } else {
+                solver.add_clause(&[!in_lits[a]]);
+            }
             // out_a ↔ some attacker in.
             clause.clear();
             clause.push(!out_lits[a]);
@@ -94,7 +133,11 @@ impl AfSat {
                 solver.add_clause(&[!in_lits[b], out_lits[a]]);
                 clause.push(in_lits[b]);
             }
-            solver.add_clause(&clause);
+            if outside[a] == External::In {
+                solver.add_clause(&[out_lits[a]]);
+            } else {
+                solver.add_clause(&clause);
+            }
             if total {
                 solver.add_clause(&[in_lits[a], out_lits[a]]);
             }

@@ -37,18 +37,19 @@
 //!    attackers) it is `In`; otherwise (or with a self-loop) `Undec`.
 //!    No SAT call. In large deliberation graphs nearly every component
 //!    is a singleton, which is exactly why this path scales.
-//! 4. **Non-trivial components get a small SAT encoding** — the same
-//!    labelling clauses as the monolithic engine, but only over the
-//!    component's members, with the interface signature baked in as
-//!    unit clauses (`In` attacker ⇒ forced `Out`; `Undec` attacker ⇒
-//!    the member can no longer be `In`). Complete/stable semantics
-//!    enumerate all local labellings; preferred branches only the
-//!    *locally maximal* ones — SCC-recursiveness guarantees greedy
-//!    local maximality in topological order composes to global
-//!    maximality. Distinct `(component, signature)` tasks at one depth
-//!    are independent, so they are farmed across the
-//!    [`casekit_runtime::Runtime`] and memoized (two branches that
-//!    agree on a component's interface share the solve).
+//! 4. **Non-trivial components get a small SAT encoding** — the
+//!    monolithic engine's own encoder ([`AfSat`]) over the component's
+//!    members, with the interface signature baked in as unit clauses
+//!    (`In` attacker ⇒ forced `Out`; `Undec` attacker ⇒ the member can
+//!    no longer be `In`). Complete/stable semantics enumerate all local
+//!    labellings with [`AfSat::extensions`]; preferred branches only
+//!    the *locally maximal* ones, from [`AfSat::preferred`] —
+//!    SCC-recursiveness guarantees greedy local maximality in
+//!    topological order composes to global maximality. Distinct
+//!    `(component, signature)` tasks at one depth are independent, so
+//!    they are farmed across the [`casekit_runtime::Runtime`] and
+//!    memoized (two branches that agree on a component's interface
+//!    share the solve).
 //! 5. **Reassemble** — surviving branches *are* the labellings; the
 //!    extensions are their `In` sets. Under stable semantics a branch
 //!    dies the moment any argument goes `Undec`.
@@ -69,10 +70,9 @@
 //! (`tests/properties.rs` cross-checks the two engines set-for-set;
 //! `repro af` measures the speedup into `BENCH_af.json`).
 
+use super::encode::{AfSat, External};
 use super::{Adjacency, ArgId, Framework, Label};
 use crate::graph::{self, Csr};
-use crate::prop::intern::Lit;
-use crate::prop::solver::Solver;
 use casekit_runtime::Runtime;
 use std::collections::{BTreeSet, HashMap, HashSet};
 
@@ -82,13 +82,6 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 /// faster (one small encoding beats condensation bookkeeping) and
 /// serves as the differential cross-check.
 pub const DECOMPOSITION_THRESHOLD: usize = 64;
-
-/// Per-member summary of a component's upstream attackers, ordered so
-/// `max` over attackers is the summary: all `Out` (or none) < some
-/// `Undec` < some `In`.
-const EXT_OUT: u8 = 0;
-const EXT_UNDEC: u8 = 1;
-const EXT_IN: u8 = 2;
 
 /// Which local labellings a component solve enumerates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -283,7 +276,7 @@ impl Decomposed {
     /// # Panics
     ///
     /// Panics if `id` is out of range (this engine mirrors the
-    /// low-level [`AfSat`](super::encode::AfSat) contract;
+    /// low-level [`AfSat`] contract;
     /// [`Framework::credulously_accepted`] is the `Result` wrapper).
     pub fn credulous(&self, id: ArgId) -> bool {
         assert!(
@@ -356,7 +349,7 @@ impl Decomposed {
     /// (restricted to `cone`'s components if given; everything outside
     /// the cone stays `Undec` and is never solved).
     fn labellings(&self, mode: Mode, cone: Option<&[bool]>) -> Vec<Vec<Label>> {
-        let mut memo: HashMap<(usize, Vec<u8>), Vec<Vec<Label>>> = HashMap::new();
+        let mut memo: HashMap<(usize, Vec<External>), Vec<Vec<Label>>> = HashMap::new();
         let mut branches: Vec<Vec<Label>> = vec![vec![Label::Undec; self.n]];
         for d in 0..self.cond.num_levels() {
             let mut singles: Vec<usize> = Vec::new();
@@ -378,8 +371,8 @@ impl Decomposed {
             // this depth in one parallel batch. Branch order fixes the
             // task order, so results are worker-count deterministic.
             if !compound.is_empty() {
-                let mut queued: HashSet<(usize, Vec<u8>)> = HashSet::new();
-                let mut tasks: Vec<(usize, Vec<u8>)> = Vec::new();
+                let mut queued: HashSet<(usize, Vec<External>)> = HashSet::new();
+                let mut tasks: Vec<(usize, Vec<External>)> = Vec::new();
                 for branch in &branches {
                     for &c in &compound {
                         let key = (c, self.signature(branch, c));
@@ -399,7 +392,7 @@ impl Decomposed {
             'branch: for mut branch in std::mem::take(&mut branches) {
                 // Interface signatures only depend on shallower depths,
                 // so they are fixed before any same-depth writes.
-                let signatures: Vec<Vec<u8>> = compound
+                let signatures: Vec<Vec<External>> = compound
                     .iter()
                     .map(|&c| self.signature(&branch, c))
                     .collect();
@@ -458,22 +451,22 @@ impl Decomposed {
     /// The interface signature of component `c` under `branch`: per
     /// member, the strongest label among its external (upstream)
     /// attackers.
-    fn signature(&self, branch: &[Label], c: usize) -> Vec<u8> {
+    fn signature(&self, branch: &[Label], c: usize) -> Vec<External> {
         self.cond
             .members(c)
             .iter()
             .map(|&a| {
-                let mut summary = EXT_OUT;
+                let mut summary = External::Out;
                 for &b in self.adj.attackers(a) {
                     if self.cond.component_of(b) == c {
                         continue;
                     }
                     match branch[b] {
                         Label::In => {
-                            summary = EXT_IN;
+                            summary = External::In;
                             break;
                         }
-                        Label::Undec => summary = EXT_UNDEC,
+                        Label::Undec => summary = External::Undec,
                         Label::Out => {}
                     }
                 }
@@ -490,7 +483,7 @@ impl Decomposed {
     fn propagate_singleton(&self, branch: &[Label], c: usize) -> Label {
         let a = self.cond.members(c)[0];
         let mut self_loop = false;
-        let mut summary = EXT_OUT;
+        let mut summary = External::Out;
         for &b in self.adj.attackers(a) {
             if b == a {
                 self_loop = true;
@@ -498,149 +491,63 @@ impl Decomposed {
             }
             match branch[b] {
                 Label::In => {
-                    summary = EXT_IN;
+                    summary = External::In;
                     break;
                 }
-                Label::Undec => summary = EXT_UNDEC,
+                Label::Undec => summary = External::Undec,
                 Label::Out => {}
             }
         }
-        if summary == EXT_IN {
+        if summary == External::In {
             Label::Out
-        } else if self_loop || summary == EXT_UNDEC {
+        } else if self_loop || summary == External::Undec {
             Label::Undec
         } else {
             Label::In
         }
     }
 
-    /// Solves one non-trivial component: the monolithic labelling
-    /// clauses restricted to the component's members, with the
-    /// interface signature baked in as units (`EXT_IN` ⇒ forced out;
-    /// `EXT_UNDEC` ⇒ the member cannot be in, and the all-attackers-out
-    /// completion clause is dropped because an undecided attacker is
-    /// not out). Returns every local labelling the mode admits.
-    fn solve_component(&self, c: usize, sig: &[u8], mode: Mode) -> Vec<Vec<Label>> {
+    /// Solves one non-trivial component: [`AfSat`]'s labelling clauses
+    /// over the component's members, with the interface signature as
+    /// their outside attackers. Returns every local labelling the mode
+    /// admits.
+    fn solve_component(&self, c: usize, sig: &[External], mode: Mode) -> Vec<Vec<Label>> {
         let members = self.cond.members(c);
-        let m = members.len();
-        let local_of: HashMap<ArgId, usize> =
-            members.iter().enumerate().map(|(i, &a)| (a, i)).collect();
-        let internal: Vec<Vec<usize>> = members
-            .iter()
-            .map(|&a| {
+        // Attackers inside the component, by position in `members`.
+        let internal = Csr::from_pairs(
+            members.len(),
+            members.iter().enumerate().flat_map(|(i, &a)| {
                 self.adj
                     .attackers(a)
                     .iter()
-                    .filter_map(|b| local_of.get(b).copied())
+                    .filter_map(move |b| members.binary_search(b).ok().map(|j| (i, j)))
+            }),
+        );
+        let mut sat = AfSat::encode(&internal, sig, mode == Mode::Stable);
+        let in_sets = match mode {
+            Mode::Complete | Mode::Stable => sat.extensions(None),
+            Mode::Preferred => sat.preferred(),
+        };
+        // Out labels are a function of the in set (plus the fixed
+        // interface), so the in set is enough.
+        in_sets
+            .iter()
+            .map(|in_set| {
+                (0..members.len())
+                    .map(|i| {
+                        if in_set.contains(&i) {
+                            Label::In
+                        } else if sig[i] == External::In
+                            || internal.row(i).iter().any(|j| in_set.contains(j))
+                        {
+                            Label::Out
+                        } else {
+                            Label::Undec
+                        }
+                    })
                     .collect()
             })
-            .collect();
-        let mut solver = Solver::new();
-        let in_l: Vec<Lit> = (0..m).map(|_| solver.new_var().positive()).collect();
-        let out_l: Vec<Lit> = (0..m).map(|_| solver.new_var().positive()).collect();
-        let mut clause: Vec<Lit> = Vec::new();
-        for i in 0..m {
-            solver.add_clause(&[!in_l[i], !out_l[i]]);
-            if mode == Mode::Stable {
-                solver.add_clause(&[in_l[i], out_l[i]]);
-            }
-            if sig[i] == EXT_IN {
-                solver.add_clause(&[out_l[i]]);
-                solver.add_clause(&[!in_l[i]]);
-                continue;
-            }
-            for &j in &internal[i] {
-                solver.add_clause(&[!in_l[i], out_l[j]]);
-                // Attacker in → i out. Without this direction the
-                // solver may leave out_i false next to an In attacker,
-                // and the completion clause of whatever i attacks
-                // would read a label that is not complete.
-                solver.add_clause(&[!in_l[j], out_l[i]]);
-            }
-            // out_i → some internal attacker in (no external is In).
-            clause.clear();
-            clause.push(!out_l[i]);
-            clause.extend(internal[i].iter().map(|&j| in_l[j]));
-            solver.add_clause(&clause);
-            if sig[i] == EXT_UNDEC {
-                solver.add_clause(&[!in_l[i]]);
-            } else {
-                // All attackers out → in_i (externals already are).
-                clause.clear();
-                clause.push(in_l[i]);
-                clause.extend(internal[i].iter().map(|&j| !out_l[j]));
-                solver.add_clause(&clause);
-            }
-        }
-        // Out labels are a function of the in set (plus the fixed
-        // interface), so blocking and reading the in set is enough.
-        let labelling = |in_set: &[bool]| -> Vec<Label> {
-            (0..m)
-                .map(|i| {
-                    if in_set[i] {
-                        Label::In
-                    } else if sig[i] == EXT_IN || internal[i].iter().any(|&j| in_set[j]) {
-                        Label::Out
-                    } else {
-                        Label::Undec
-                    }
-                })
-                .collect()
-        };
-        let read_in_set = |solver: &Solver| -> Vec<bool> {
-            in_l.iter()
-                .map(|&l| solver.value(l) == Some(true))
-                .collect()
-        };
-        let mut found = Vec::new();
-        match mode {
-            Mode::Complete | Mode::Stable => {
-                while solver.check() {
-                    let in_set = read_in_set(&solver);
-                    let block: Vec<Lit> = (0..m)
-                        .map(|i| if in_set[i] { !in_l[i] } else { in_l[i] })
-                        .collect();
-                    solver.add_clause(&block);
-                    found.push(labelling(&in_set));
-                }
-            }
-            Mode::Preferred => {
-                // The same maximality loop as AfSat::for_each_preferred,
-                // on the component-local encoding.
-                let selector = solver.new_var().positive();
-                loop {
-                    solver.retract_all();
-                    solver.assume(selector);
-                    if !solver.check() {
-                        break;
-                    }
-                    let mut in_set = read_in_set(&solver);
-                    loop {
-                        let grow = solver.new_var().positive();
-                        let mut grow_clause = vec![!grow];
-                        grow_clause.extend((0..m).filter(|&i| !in_set[i]).map(|i| in_l[i]));
-                        solver.add_clause(&grow_clause);
-                        solver.retract_all();
-                        solver.assume(selector);
-                        for i in (0..m).filter(|&i| in_set[i]) {
-                            solver.assume(in_l[i]);
-                        }
-                        solver.assume(grow);
-                        if solver.check() {
-                            in_set = read_in_set(&solver);
-                        } else {
-                            break;
-                        }
-                    }
-                    solver.retract_all();
-                    let mut block = vec![!selector];
-                    block.extend((0..m).filter(|&i| !in_set[i]).map(|i| in_l[i]));
-                    solver.add_clause(&block);
-                    found.push(labelling(&in_set));
-                }
-            }
-        }
-        found
+            .collect()
     }
 }
 
@@ -656,7 +563,6 @@ fn in_set(labels: &[Label]) -> BTreeSet<ArgId> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::encode::AfSat;
     use super::*;
 
     fn framework(n: usize, attacks: &[(ArgId, ArgId)]) -> Framework {
@@ -781,7 +687,8 @@ mod tests {
                 6,
                 vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)],
             ),
-            // Undec flowing into a pair: exercises EXT_UNDEC interfaces.
+            // Undec flowing into a pair: exercises `External::Undec`
+            // interfaces.
             (4, vec![(0, 0), (0, 1), (1, 2), (2, 1), (2, 3)]),
             // Regression: a compound component where the extra complete
             // labelling {7} once slipped through because the local

@@ -1,12 +1,15 @@
 //! Inputs built to take the process down: formulas and blocks nested
-//! tens of thousands deep, and a diagnostic past column 65,535.
+//! tens of thousands deep, a diagnostic past column 65,535, and support
+//! graphs that are deep, cyclic or exponentially many-pathed.
 //!
 //! Each input is generated in memory and driven through the three
 //! front doors a `.case` text can enter by — [`check_source`],
 //! [`CorpusLoader::load`] on real worker threads, and
 //! [`CaseService::open_source`] followed by `answers` — each on a
-//! 2 MiB stack, the size `Runtime` workers get. Every input must end as
-//! its `CK2xx` diagnostic; the parenthesis tower is a valid formula.
+//! 2 MiB stack, the size `Runtime` workers get. Every nesting input
+//! must end as its `CK2xx` diagnostic; the parenthesis tower is a valid
+//! formula. The graphs parse clean, so they skip the loader, which only
+//! parses; they must end as exactly their lint codes.
 
 use casekit_analysis::{check_source, Diagnostic, LintCode};
 use casekit_core::FormalPayload;
@@ -88,6 +91,63 @@ fn hostile_inputs() -> Vec<(&'static str, String, Option<LintCode>)> {
     ]
 }
 
+/// Support graphs that parse clean, each with every code it must
+/// produce, once: a strategy cycle below a formal goal, a 100k-strategy
+/// `ref` chain, and a 40-level tower of strategy diamonds (2^40 paths
+/// from the top goal to its one formal leaf).
+fn hostile_graphs() -> Vec<(&'static str, String, Vec<LintCode>)> {
+    use LintCode::{BeggingTheQuestion, CircularStep, SupportCycle};
+    let cycle = r#"argument "cycle" {
+  goal g1 "top" formal "p" {
+    strategy s1 "outer" {
+      strategy s2 "inner" { ref s1 }
+    }
+  }
+}
+"#;
+    // `ref` targets must be declared earlier, so both shapes are
+    // written from the leaf up to the top goal.
+    let leaf = "goal g2 \"leaf\" formal \"p\" { solution e1 \"log\" }";
+    let links = 100_000;
+    let mut chain = format!("argument \"chain\" {{\nstrategy s{links} \"link\" {{ {leaf} }}\n");
+    for i in (1..links).rev() {
+        chain.push_str(&format!("strategy s{i} \"link\" {{ ref s{} }}\n", i + 1));
+    }
+    chain.push_str("goal g1 \"top\" formal \"p\" { ref s1 }\n}\n");
+    let mut tower = format!("argument \"tower\" {{\nstrategy j0 \"join\" {{ {leaf} }}\n");
+    for i in 1..=40 {
+        let below = i - 1;
+        tower.push_str(&format!(
+            "strategy a{i} \"left\" {{ ref j{below} }}\n\
+             strategy b{i} \"right\" {{ ref j{below} }}\n\
+             strategy j{i} \"join\" {{ ref a{i} ref b{i} }}\n"
+        ));
+    }
+    tower.push_str("goal g1 \"top\" formal \"p\" { ref j40 }\n}\n");
+    vec![
+        (
+            "strategy cycle",
+            cycle.to_string(),
+            vec![SupportCycle, BeggingTheQuestion],
+        ),
+        (
+            "100k strategy chain",
+            chain,
+            vec![CircularStep, BeggingTheQuestion],
+        ),
+        (
+            "40-level diamond tower",
+            tower,
+            vec![CircularStep, BeggingTheQuestion],
+        ),
+    ]
+}
+
+/// The code of every diagnostic, in the canonical output order.
+fn codes(diagnostics: &[Diagnostic]) -> Vec<LintCode> {
+    diagnostics.iter().map(|d| d.code).collect()
+}
+
 /// Checks one input's diagnostics: its syntax findings are exactly its
 /// expected code, once.
 fn assert_ends_as(name: &str, diagnostics: &[Diagnostic], code: Option<LintCode>) {
@@ -146,6 +206,32 @@ fn case_service_opens_and_answers_every_hostile_input() {
             assert_ends_as(name, &diagnostics, code);
             let case = case.unwrap_or_else(|| panic!("{name}: nothing opened"));
             assert!(service.answers(case).is_some(), "{name}: no answers");
+        }
+    });
+}
+
+#[test]
+fn check_source_walks_every_hostile_graph() {
+    on_small_stack(|| {
+        for (name, src, expected) in hostile_graphs() {
+            let analysis = check_source(&src, &Default::default());
+            assert_eq!(codes(&analysis.diagnostics), expected, "{name}");
+        }
+    });
+}
+
+#[test]
+fn case_service_opens_and_answers_every_hostile_graph() {
+    on_small_stack(|| {
+        let mut service = CaseService::new();
+        for (name, src, expected) in hostile_graphs() {
+            let (case, diagnostics) = service.open_source(&src);
+            assert_eq!(codes(&diagnostics), expected, "{name}");
+            let case = case.unwrap_or_else(|| panic!("{name}: nothing opened"));
+            let answers = service
+                .answers(case)
+                .unwrap_or_else(|| panic!("{name}: no answers"));
+            assert_eq!(codes(&answers.lint), expected, "{name}");
         }
     });
 }

@@ -1,13 +1,17 @@
 #!/usr/bin/env bash
-# Full local gate: format, lints, tests (the caselint CLI checks over
-# examples/cases included), benches, the nine benchmark artifacts, and
-# the smoke bench gate. Mirrors what `just check` runs. Every floor and
-# agreement flag lives in crates/bench/src/gate.rs: the artifact steps
-# fail on a false flag, and `repro gate` judges the smoke floors.
+# Full local gate: format, lints, rustdoc with warnings denied, tests
+# (the caselint CLI checks over examples/cases included), the perfbench
+# package's own tests under --locked, benches, the nine benchmark
+# artifacts, and the smoke bench gate. Mirrors what `just check` runs.
+# Every floor and agreement flag lives in crates/bench/src/gate.rs: the
+# artifact steps fail on a false flag, and `repro gate` judges the
+# smoke floors.
 #
 # Every step runs even when an earlier one fails, each failure is
-# recorded, and a per-step summary prints at the end — so local runs
-# and CI agree on exactly what "green" means.
+# recorded, and a per-step summary prints at the end. It runs every
+# command the CI jobs run, except that CI also repeats the tests at
+# RUNTIME_WORKERS=1 and 4 and runs the perfbench correctness smoke
+# (`just perf-smoke`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,7 +35,11 @@ run_step() {
 
 run_step "cargo fmt --check" cargo fmt --all --check
 run_step "cargo clippy -D warnings" cargo clippy --workspace --all-targets -- -D warnings
+run_step "cargo doc -D warnings" \
+  env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 run_step "cargo test" cargo test -q
+run_step "perfbench tests (--locked)" \
+  cargo test --release --locked --manifest-path perfbench/Cargo.toml
 run_step "cargo bench (short measurement budget)" \
   env CASEKIT_BENCH_MS="${CASEKIT_BENCH_MS:-25}" cargo bench -q -p casekit-bench
 # Each artefact step regenerates its committed BENCH_*.json, and
