@@ -146,6 +146,14 @@ pub fn check_sources(
 /// Renders a two-line caret excerpt for `span`: the source line it
 /// starts on, and a `^^^` underline clamped to that line.
 ///
+/// The caret is indented by the characters of the line before the
+/// span, and the underline has one caret per character of the span
+/// (at least one), so both stay under the span on lines with
+/// non-ASCII text. Where a slice would not fall on character
+/// boundaries of the line (a span that starts inside a character, or
+/// past a trimmed `\r`), the byte count stands in. The `line:col` of
+/// [`LineIndex::line_col`] stays a byte column.
+///
 /// Returns `None` when the span's line cannot be recovered (empty
 /// source).
 ///
@@ -162,19 +170,20 @@ pub fn excerpt(src: &str, index: &LineIndex, span: Span) -> Option<String> {
     let (line, col) = index.line_col(span.start);
     let line_span = index.line_span(line)?;
     let text = src[line_span.start..line_span.end].trim_end_matches(['\n', '\r']);
-    // Clamp the underline to the line (spans may run to end of file) and
-    // keep at least one caret for point spans.
-    let width = span
-        .end
-        .saturating_sub(span.start)
-        .min(text.len().saturating_sub(col - 1))
-        .max(1);
+    // Byte offsets into `text`; the underline is clamped to the line
+    // (spans may run to end of file).
+    let start = col - 1;
+    let end = (start + span.end.saturating_sub(span.start)).min(text.len());
+    let chars = |from: usize, to: usize| {
+        text.get(from..to)
+            .map_or(to.saturating_sub(from), |slice| slice.chars().count())
+    };
     // The caret indent is built by hand: a format width cannot pass
     // `u16::MAX`, and columns can.
     Some(format!(
         "{line:>4} | {text}\n     | {}{}",
-        " ".repeat(col - 1),
-        "^".repeat(width)
+        " ".repeat(chars(0, start)),
+        "^".repeat(chars(start, end).max(1))
     ))
 }
 
@@ -298,6 +307,37 @@ mod tests {
         let rendered = excerpt(&src, &index, Span::new(70_000, 70_001)).unwrap();
         let caret_line = rendered.lines().nth(1).unwrap();
         assert_eq!(caret_line, format!("     | {}^", " ".repeat(70_000)));
+    }
+
+    #[test]
+    fn excerpt_counts_characters_not_bytes() {
+        let src = "argument \"a\" {\n  goal g1 \"ééé\" formal \"p $ q\"\n}\n";
+        let index = LineIndex::new(src);
+        // The `$` is reported at a byte column, and the caret sits
+        // under it in characters.
+        let analysis = check_source(src, &LintConfig::new());
+        let bad = analysis
+            .diagnostics
+            .iter()
+            .find(|d| d.code == LintCode::MalformedPayload)
+            .unwrap();
+        let span = bad.span.unwrap();
+        assert_eq!(&src[span.start..span.end], "$");
+        assert_eq!(index.line_col(span.start), (2, 30));
+        let rendered = excerpt(src, &index, span).unwrap();
+        let (text, carets) = rendered.split_once('\n').unwrap();
+        let under = |c: char| text.chars().position(|t| t == c).unwrap();
+        assert_eq!(carets.chars().position(|c| c == '^'), Some(under('$')));
+        assert_eq!(carets.matches('^').count(), 1);
+        // A span over one two-byte character gets one caret.
+        let e = src.find('é').unwrap();
+        let rendered = excerpt(src, &index, Span::new(e, e + 2)).unwrap();
+        let (text, carets) = rendered.split_once('\n').unwrap();
+        let first = text.chars().position(|t| t == 'é').unwrap();
+        assert_eq!(carets.chars().position(|c| c == '^'), Some(first));
+        assert_eq!(carets.matches('^').count(), 1);
+        // A span starting inside a character falls back to bytes.
+        assert!(excerpt(src, &index, Span::new(e + 1, e + 2)).is_some());
     }
 
     #[test]

@@ -13,7 +13,6 @@
 use casekit_core::{Argument, EdgeKind, NodeId, NodeKind};
 use serde::Serialize;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::time::Instant;
 
 /// Builds a deterministic, roughly balanced synthetic assurance argument
 /// with at least `target_nodes` nodes: a goal tree with strategies
@@ -207,10 +206,9 @@ pub struct GraphBenchReport {
     pub nodes: usize,
     /// Edge count of the synthetic argument.
     pub edges: usize,
-    /// Full legacy O(V·E) sweep, milliseconds (single run — it is slow
-    /// by design).
+    /// Full legacy O(V·E) sweep, milliseconds (best of 3 runs).
     pub legacy_sweep_ms: f64,
-    /// Full indexed O(V+E) sweep, milliseconds (best of several runs).
+    /// Full indexed O(V+E) sweep, milliseconds (best of 3 runs).
     pub indexed_sweep_ms: f64,
     /// legacy / indexed.
     pub speedup: f64,
@@ -223,17 +221,8 @@ pub fn run_graph_bench(target_nodes: usize) -> GraphBenchReport {
     let argument = synthetic_argument(target_nodes);
     let baseline = FlatBaseline::from_argument(&argument);
 
-    let start = Instant::now();
-    let legacy = baseline.structural_sweep();
-    let legacy_sweep_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let mut indexed_sweep_ms = f64::INFINITY;
-    let mut indexed = indexed_structural_sweep(&argument);
-    for _ in 0..5 {
-        let start = Instant::now();
-        indexed = indexed_structural_sweep(&argument);
-        indexed_sweep_ms = indexed_sweep_ms.min(start.elapsed().as_secs_f64() * 1e3);
-    }
+    let (legacy_sweep_ms, legacy) = crate::best_of_ms(3, || baseline.structural_sweep());
+    let (indexed_sweep_ms, indexed) = crate::best_of_ms(3, || indexed_structural_sweep(&argument));
 
     GraphBenchReport {
         nodes: argument.len(),
@@ -302,8 +291,7 @@ mod tests {
     #[test]
     fn report_speedup_is_material_even_at_small_scale() {
         // At 2k nodes the asymptotic gap is already unmistakable; the
-        // acceptance-criteria 10k run lives in the repro binary and the
-        // criterion bench.
+        // acceptance-criteria 10k run lives in the repro binary.
         let report = run_graph_bench(2_000);
         assert!(report.sweeps_agree);
         assert!(

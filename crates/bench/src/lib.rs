@@ -1,8 +1,11 @@
 //! # casekit-bench
 //!
-//! The reproduction harness: renderers for every table and figure of
-//! Graydon (DSN 2015), shared by the `repro` binary and the Criterion
-//! benches. See EXPERIMENTS.md for the paper-vs-measured record.
+//! The reproduction harness behind the `repro` binary: renderers for
+//! every table and figure of Graydon (DSN 2015), the nine benchmark
+//! arms (one module each, every engine timed against its baseline
+//! through one best-of-N policy), and the smoke bench gate ([`gate`]).
+//! These arms and the perfbench package (the `BENCHMARK.json`
+//! workloads) are the only two places benchmark numbers come from.
 
 #![forbid(unsafe_code)]
 

@@ -364,20 +364,6 @@ impl Argument {
         self.inc.row(idx.index()).iter().map(|entry| entry.other)
     }
 
-    /// Parents of `idx` along edges of `kind`. O(degree).
-    #[inline]
-    pub fn parents_by_kind_idx(
-        &self,
-        idx: NodeIdx,
-        kind: EdgeKind,
-    ) -> impl Iterator<Item = NodeIdx> + '_ {
-        self.inc
-            .row(idx.index())
-            .iter()
-            .filter(move |entry| entry.kind == kind)
-            .map(|entry| entry.other)
-    }
-
     /// Number of outgoing edges of `idx`. O(1).
     #[inline]
     pub fn out_degree(&self, idx: NodeIdx) -> usize {
@@ -577,11 +563,6 @@ impl Argument {
     pub fn node_mut(&mut self, id: &NodeId) -> Option<&mut Node> {
         let idx = self.node_idx(id)?;
         Some(&mut self.nodes[idx.index()])
-    }
-
-    /// Mutable access by arena index. O(1).
-    pub fn node_at_mut(&mut self, idx: NodeIdx) -> &mut Node {
-        &mut self.nodes[idx.index()]
     }
 }
 

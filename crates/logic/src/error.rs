@@ -327,11 +327,6 @@ pub enum LogicError {
         /// Why the step is not justified.
         reason: String,
     },
-    /// The resolution/SLD engine exceeded its depth or work budget.
-    BudgetExhausted {
-        /// The budget that was exceeded, in engine-specific units.
-        budget: usize,
-    },
     /// A symbol was used in a way inconsistent with its declared sort.
     SortViolation {
         /// The offending symbol.
@@ -403,9 +398,6 @@ impl fmt::Display for LogicError {
             }
             LogicError::InvalidStep { line, reason } => {
                 write!(f, "invalid step at line {line}: {reason}")
-            }
-            LogicError::BudgetExhausted { budget } => {
-                write!(f, "inference budget of {budget} exhausted")
             }
             LogicError::SortViolation { symbol, detail } => {
                 write!(f, "sort violation on `{symbol}`: {detail}")
@@ -554,8 +546,6 @@ mod tests {
             reason: "Detach needs an implication".into(),
         };
         assert!(e.to_string().contains("line 4"));
-        let e = LogicError::BudgetExhausted { budget: 100 };
-        assert!(e.to_string().contains("100"));
         let e = LogicError::SortViolation {
             symbol: "bank".into(),
             detail: "used as both Institution and Landform".into(),

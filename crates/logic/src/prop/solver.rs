@@ -347,43 +347,6 @@ impl Solver {
             .unwrap_or_else(|| 2000 + self.problem_count / 2)
     }
 
-    /// Drops every learned non-unit clause, keeping the problem clauses
-    /// (and the persisted unit store) intact.
-    ///
-    /// This is the conservative session-invalidation hook for
-    /// long-lived incremental callers: learned clauses are consequences
-    /// of the clause database, so a session whose database only ever
-    /// *grows* (the `Theory::formula_lit` compilation discipline) never
-    /// needs this — but a caller that cannot establish that invariant,
-    /// or that wants to bound learnt-store memory across thousands of
-    /// edit rounds, can forget the learnt set wholesale and let the
-    /// search re-derive what the next queries need. Learned *units*
-    /// have already merged into the persistent unit store and stay (a
-    /// unit consequence of a monotonically-grown database remains a
-    /// consequence); a caller that cannot even trust those must rebuild
-    /// the theory from scratch — whole-theory invalidation is the
-    /// correct fallback, not a partial one.
-    pub fn forget_learned(&mut self) {
-        self.unwind_all();
-        let old_lits = std::mem::take(&mut self.lits);
-        let old_headers = std::mem::take(&mut self.headers);
-        for w in &mut self.watches {
-            w.clear();
-        }
-        self.problem_count = 0;
-        self.stats.learned_dropped += self.learned_live as u64;
-        self.learned_live = 0;
-        self.gc_floor = 0;
-        for h in &old_headers {
-            if h.learned {
-                continue;
-            }
-            let clause = &old_lits[h.start as usize..(h.start + h.len) as usize];
-            self.store_clause(clause, false, h.lbd);
-            self.problem_count += 1;
-        }
-    }
-
     /// Adds a permanent clause (a disjunction of `lits`).
     ///
     /// Duplicate literals collapse; tautologous clauses (`p | ~p | …`)
@@ -956,18 +919,6 @@ impl Theory {
         self.solver.num_learned()
     }
 
-    /// Drops the session's learned non-unit clauses
-    /// ([`Solver::forget_learned`]): the conservative invalidation hook
-    /// for incremental callers that cannot establish the learnt set is
-    /// still a consequence of their edited database, or that want to
-    /// bound its memory across many edit rounds. Sessions compiled
-    /// exclusively through [`Theory::formula_lit`] (definitional
-    /// clauses only, database only grows) never *need* this for
-    /// soundness.
-    pub fn forget_learned(&mut self) {
-        self.solver.forget_learned();
-    }
-
     /// The positive literal for `atom`, interning it on first sight.
     pub fn atom_lit(&mut self, atom: &Atom) -> Lit {
         let solver = &mut self.solver;
@@ -1089,15 +1040,29 @@ impl Theory {
     /// prior assumption stack. This is the session idiom every batch
     /// caller uses — keep the discipline here, not at each call site.
     pub fn check_under<I: IntoIterator<Item = Lit>>(&mut self, assumptions: I) -> bool {
+        self.answer_under(assumptions, |_| ()).is_some()
+    }
+
+    /// The bracket every `*_under` question shares: note the assumption
+    /// depth, assume `assumptions`, check, read the model with `read`
+    /// when satisfiable, then retract back to the noted depth.
+    fn answer_under<I, R>(&mut self, assumptions: I, read: impl FnOnce(&Self) -> R) -> Option<R>
+    where
+        I: IntoIterator<Item = Lit>,
+    {
         let depth = self.solver.assumptions().len();
         for lit in assumptions {
             self.solver.assume(lit);
         }
-        let sat = self.solver.check();
+        let answer = if self.solver.check() {
+            Some(read(self))
+        } else {
+            None
+        };
         while self.solver.assumptions().len() > depth {
             self.solver.retract();
         }
-        sat
+        answer
     }
 
     /// Like [`Theory::check_under`], but on satisfiability returns the
@@ -1107,19 +1072,7 @@ impl Theory {
         I: IntoIterator<Item = Lit>,
         A: IntoIterator<Item = &'a Atom>,
     {
-        let depth = self.solver.assumptions().len();
-        for lit in assumptions {
-            self.solver.assume(lit);
-        }
-        let model = if self.solver.check() {
-            Some(self.model(atoms))
-        } else {
-            None
-        };
-        while self.solver.assumptions().len() > depth {
-            self.solver.retract();
-        }
-        model
+        self.answer_under(assumptions, |theory| theory.model(atoms))
     }
 
     /// Like [`Theory::check_under`], but on satisfiability returns the
@@ -1142,23 +1095,11 @@ impl Theory {
         &mut self,
         assumptions: I,
     ) -> Option<Vec<bool>> {
-        let depth = self.solver.assumptions().len();
-        for lit in assumptions {
-            self.solver.assume(lit);
-        }
-        let witness = if self.solver.check() {
-            Some(
-                (0..self.solver.num_vars())
-                    .map(|i| self.solver.var_value(Var(i as u32)) == Some(true))
-                    .collect(),
-            )
-        } else {
-            None
-        };
-        while self.solver.assumptions().len() > depth {
-            self.solver.retract();
-        }
-        witness
+        self.answer_under(assumptions, |theory| {
+            (0..theory.solver.num_vars())
+                .map(|i| theory.solver.var_value(Var(i as u32)) == Some(true))
+                .collect()
+        })
     }
 
     /// After a satisfiable check: the value of `atom` in the model.
@@ -1400,57 +1341,6 @@ mod tests {
         );
         // Knowledge persisted (units or stored learned clauses).
         assert!(s.num_learned() + learned_units > 0);
-    }
-
-    #[test]
-    fn forget_learned_preserves_verdicts_and_problem_clauses() {
-        // The relaxed-pigeonhole shape: conflict-rich under ~r,
-        // satisfiable under r. Forgetting the learnt set between rounds
-        // must leave every verdict unchanged — the search just re-earns
-        // its shortcuts.
-        let mut s = Solver::new();
-        let r = s.new_var();
-        let at: Vec<Vec<Var>> = (0..5)
-            .map(|_| (0..4).map(|_| s.new_var()).collect())
-            .collect();
-        for p in &at {
-            let clause: Vec<Lit> = p.iter().map(|v| v.positive()).collect();
-            s.add_clause(&clause);
-        }
-        for a in 0..5 {
-            for b in a + 1..5 {
-                for (x, y) in at[a].iter().zip(&at[b]) {
-                    s.add_clause(&[x.negative(), y.negative(), r.positive()]);
-                }
-            }
-        }
-        let problem_clauses = s.num_clauses();
-        for round in 0..4 {
-            s.assume(r.negative());
-            assert!(!s.check(), "strict pigeonhole stays unsat (round {round})");
-            s.retract_all();
-            s.assume(r.positive());
-            assert!(s.check(), "relaxed pigeonhole stays sat (round {round})");
-            s.retract_all();
-            s.forget_learned();
-            assert_eq!(s.num_learned(), 0, "learnt store empty after forget");
-        }
-        // Problem clauses survive every forget pass (the unit store may
-        // have grown by derived root facts, which are consequences and
-        // deliberately kept).
-        assert!(s.num_clauses() >= problem_clauses - s.units.len());
-        assert!(s.stats().conflicts > 0);
-
-        // The Theory wrapper exposes the same hook.
-        let mut th = Theory::new();
-        let f = parse("(p -> q) & (q -> r) & p").unwrap();
-        let lit = th.formula_lit(&f);
-        let r_lit = th.formula_lit(&parse("r").unwrap());
-        assert!(!th.check_under([lit, !r_lit]));
-        th.forget_learned();
-        assert_eq!(th.num_learned(), 0);
-        assert!(!th.check_under([lit, !r_lit]));
-        assert!(th.check_under([lit, r_lit]));
     }
 
     #[test]

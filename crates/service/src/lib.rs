@@ -205,13 +205,6 @@ impl CaseService {
         self.sessions.get_mut(case).map(CaseSession::answers)
     }
 
-    /// Answers every open case, sharded across the runtime's workers.
-    /// Byte-identical at any worker count: sessions are independent and
-    /// [`Runtime::map_mut`] preserves order.
-    pub fn answer_all(&mut self, runtime: &Runtime) -> Vec<CaseAnswers> {
-        runtime.map_mut(&mut self.sessions, |_, session| session.answers())
-    }
-
     /// Drives one traffic stream per case — `traffic[i]` is the op
     /// sequence for case `i` — sharded across the runtime's workers,
     /// and returns each case's query transcript (one [`CaseAnswers`]

@@ -3,8 +3,8 @@
 # [workload] [seed]` runs one BENCHMARK.json workload end to end, then
 # traced for its per-layer split.
 
-# Format, lint, test, bench, regenerate every BENCH_*.json, and run
-# the smoke bench gate.
+# Format, lint, test, regenerate every BENCH_*.json, run the smoke
+# bench gate, then the perfbench correctness smoke.
 check:
     ./scripts/check.sh
 
@@ -23,16 +23,10 @@ ci:
     cargo run --release -q -p casekit-bench --bin repro -- gate
     just perf-smoke
 
-# Every BENCHMARK.json workload once at seed 1 for 5 s (a 1 s ingest
-# run has too few samples for its p99): fails unless each result line
-# reads `"correct": true` with `"failed": 0`.
+# Every BENCHMARK.json workload once at seed 1 for 5 s: fails unless
+# each result line reads `"correct": true` with `"failed": 0`.
 perf-smoke:
-    for workload in ingest check session; do \
-      out="$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
-        --workload "$workload" --seed 1 --seconds 5 --trace 0)"; \
-      printf '%s\n' "$out" | grep -q '^{"correct": true, "attempted": [0-9]*, "failed": 0,' \
-        || { printf '%s\n' "$out"; echo "perfbench $workload: wrong output or failed ops"; exit 1; }; \
-    done
+    ./scripts/perf_smoke.sh
 
 # The smoke bench-regression gate alone: every floor on its median
 # over five rounds, every agreement flag in every round.
@@ -56,10 +50,6 @@ lint:
 # The test suite (workspace defaults: every product crate).
 test:
     cargo test -q
-
-# Criterion benches with a short measurement budget.
-bench:
-    CASEKIT_BENCH_MS=25 cargo bench -q -p casekit-bench
 
 # Graph-core speedup artifact (BENCH_graph.json).
 graph-bench:

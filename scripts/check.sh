@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Full local gate: format, lints, rustdoc with warnings denied, tests
 # (the caselint CLI checks over examples/cases included), the perfbench
-# package's own tests under --locked, benches, the nine benchmark
-# artifacts, and the smoke bench gate. Mirrors what `just check` runs.
-# Every floor and agreement flag lives in crates/bench/src/gate.rs: the
-# artifact steps fail on a false flag, and `repro gate` judges the
-# smoke floors.
+# package's own tests under --locked, the nine benchmark artifacts, the
+# smoke bench gate, and the perfbench correctness smoke. Mirrors what
+# `just check` runs. Every floor and agreement flag lives in
+# crates/bench/src/gate.rs: the artifact steps fail on a false flag, and
+# `repro gate` judges the smoke floors.
 #
 # Every step runs even when an earlier one fails, each failure is
 # recorded, and a per-step summary prints at the end. It runs every
 # command the CI jobs run, except that CI also repeats the tests at
-# RUNTIME_WORKERS=1 and 4 and runs the perfbench correctness smoke
-# (`just perf-smoke`).
+# RUNTIME_WORKERS=1 and 4.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,8 +39,6 @@ run_step "cargo doc -D warnings" \
 run_step "cargo test" cargo test -q
 run_step "perfbench tests (--locked)" \
   cargo test --release --locked --manifest-path perfbench/Cargo.toml
-run_step "cargo bench (short measurement budget)" \
-  env CASEKIT_BENCH_MS="${CASEKIT_BENCH_MS:-25}" cargo bench -q -p casekit-bench
 # Each artefact step regenerates its committed BENCH_*.json, and
 # `repro` exits 1 when an agreement flag of the report is false.
 for artefact in graph logic af fol ltl experiments lint service dsl; do
@@ -50,6 +47,8 @@ for artefact in graph logic af fol ltl experiments lint service dsl; do
 done
 run_step "repro gate (smoke floors and flags over five rounds)" \
   cargo run --release -q -p casekit-bench --bin repro -- gate
+run_step "perfbench correctness smoke (scripts/perf_smoke.sh)" \
+  ./scripts/perf_smoke.sh
 
 echo
 echo "== step summary =="
