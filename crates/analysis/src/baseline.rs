@@ -8,6 +8,10 @@
 //! construction (the pass bodies are shared); only the parse and
 //! compilation counts differ, which is exactly what `BENCH_lint.json`
 //! measures.
+//!
+//! It stays here, not in `casekit-oracle`, because it is not an
+//! independent oracle: it runs this crate's own pass bodies, which are
+//! private, and moving it would make them product API.
 
 use crate::diagnostic::{Diagnostic, LintConfig, Sink};
 use crate::witness::WitnessPool;

@@ -22,11 +22,16 @@
 //! `--deny` promotes every lint to deny level (any diagnostic is an
 //! error) — the mode CI uses over the example corpus. `--list` prints
 //! the lint registry and exits.
+//!
+//! A reader that closes stdout early (`caselint … | head`) ends the run
+//! quietly: the exit status reflects the diagnostics found so far.
 
 #![forbid(unsafe_code)]
 
 use casekit_analysis::{check_source, excerpt, Level, LintCode, LintConfig, Severity};
 use casekit_logic::LineIndex;
+use std::fmt;
+use std::io::{self, ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -37,7 +42,11 @@ fn usage() -> &'static str {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = Output {
+        out: io::stdout().lock(),
+        closed: false,
+    };
+    match run(&args, &mut out) {
         Ok(clean) => {
             if clean {
                 ExitCode::SUCCESS
@@ -53,7 +62,29 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<bool, String> {
+/// The report's stdout. A `BrokenPipe` marks it closed and every later
+/// line is dropped; any other write error is an error.
+struct Output<W: Write> {
+    out: W,
+    closed: bool,
+}
+
+impl<W: Write> Output<W> {
+    fn line(&mut self, line: fmt::Arguments<'_>) -> Result<(), String> {
+        if self.closed {
+            return Ok(());
+        }
+        match writeln!(self.out, "{line}") {
+            Err(e) if e.kind() == ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            written => written.map_err(|e| format!("stdout: {e}")),
+        }
+    }
+}
+
+fn run(args: &[String], out: &mut Output<impl Write>) -> Result<bool, String> {
     let mut config = LintConfig::new();
     let mut paths: Vec<PathBuf> = Vec::new();
     let mut iter = args.iter();
@@ -61,13 +92,13 @@ fn run(args: &[String]) -> Result<bool, String> {
         match arg.as_str() {
             "--list" => {
                 for descriptor in LintCode::ALL.iter().map(|c| c.descriptor()) {
-                    println!(
+                    out.line(format_args!(
                         "{} {:30} {:5} {}",
                         descriptor.code.as_str(),
                         descriptor.name,
                         descriptor.default_level,
                         descriptor.summary
-                    );
+                    ))?;
                 }
                 return Ok(true);
             }
@@ -114,19 +145,25 @@ fn run(args: &[String]) -> Result<bool, String> {
         let analysis = check_source(&source, &config);
         let index = LineIndex::new(&source);
         for diagnostic in &analysis.diagnostics {
-            match diagnostic.span {
-                Some(span) => {
-                    let (line, col) = index.line_col(span.start);
-                    println!("{}:{line}:{col}: {diagnostic}", file.display());
-                    if let Some(lines) = excerpt(&source, &index, span) {
-                        println!("{lines}");
-                    }
-                }
-                None => println!("{}: {diagnostic}", file.display()),
-            }
             total += 1;
             if diagnostic.severity == Severity::Error {
                 clean = false;
+            }
+            match diagnostic.span {
+                Some(span) => {
+                    let (line, col) = index.line_col(span.start);
+                    out.line(format_args!(
+                        "{}:{line}:{col}: {diagnostic}",
+                        file.display()
+                    ))?;
+                    if let Some(lines) = excerpt(&source, &index, span) {
+                        out.line(format_args!("{lines}"))?;
+                    }
+                }
+                None => out.line(format_args!("{}: {diagnostic}", file.display()))?,
+            }
+            if out.closed {
+                return Ok(clean);
             }
         }
     }

@@ -1,12 +1,13 @@
 //! The `caselint` command line over the bundled corpus: the example
-//! cases lint clean at deny level, and the malformed fixtures fail with
-//! every syntax code. The code list comes from the lint registry, so a
+//! cases lint clean at deny level, the malformed fixtures fail with
+//! every syntax code, and a stdout closed by its reader ends the run
+//! without a panic. The code list comes from the lint registry, so a
 //! new `CK2xx` code needs a fixture here and no other edit.
 
 use casekit_analysis::{LintCode, PassKind};
 use std::ffi::OsStr;
 use std::path::{Path, PathBuf};
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 fn cases_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../examples/cases")
@@ -50,5 +51,28 @@ fn example_cases_lint_clean_at_deny_level() {
         let (code, stdout) = caselint([OsStr::new("--deny"), case.as_os_str()]);
         assert_eq!(code, Some(0), "{}:\n{stdout}", case.display());
         assert_eq!(stdout, "", "{} has diagnostics", case.display());
+    }
+}
+
+#[test]
+fn closed_stdout_ends_the_run_without_a_panic() {
+    // `caselint … | head -1`, made deterministic: the reader is gone
+    // before the first line is written, so every write is a broken pipe.
+    let malformed = cases_dir().join("malformed");
+    for (args, expected) in [
+        (vec![OsStr::new("--deny"), malformed.as_os_str()], 1),
+        (vec![OsStr::new("--list")], 0),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let output = Command::new(env!("CARGO_BIN_EXE_caselint"))
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .expect("caselint runs");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert_eq!(output.status.code(), Some(expected), "{args:?}: {stderr}");
     }
 }

@@ -1,7 +1,7 @@
 //! Argumentation-framework benchmark harness: seeded framework
-//! generators, the subset-enumeration baseline (`af::naive`), the
-//! monolithic SAT labelling path, and the SCC-decomposed engine that
-//! carries the semantics to 10^5 arguments.
+//! generators, the subset-enumeration baseline (the oracle
+//! [`casekit_oracle::af`]), the monolithic SAT labelling path, and the
+//! SCC-decomposed engine that carries the semantics to 10^5 arguments.
 //!
 //! The seed computed complete/preferred extensions by walking all `2^n`
 //! argument subsets behind an `assert!(n <= 16)`, and derived the
@@ -26,7 +26,8 @@
 
 use casekit_logic::af::encode::AfSat;
 use casekit_logic::af::scc::Decomposed;
-use casekit_logic::af::{naive, ArgId, Framework};
+use casekit_logic::af::{ArgId, Framework};
+use casekit_oracle::af as naive;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::Serialize;

@@ -1,5 +1,5 @@
 //! FOL benchmark harness: seeded Horn-program generators, the seed
-//! recursive engine (`KnowledgeBase::solve_seed_with`) as the oracle,
+//! recursive engine ([`casekit_oracle::fol::solve_with`]) as the oracle,
 //! and the interned indexed engine (`InternedKb`) as the measured path.
 //!
 //! The seed engine scans every clause at every resolution step, deep
@@ -102,7 +102,7 @@ fn verdicts_seed(kb: &KnowledgeBase, queries: &[casekit_logic::fol::Term]) -> Ve
     queries
         .iter()
         .map(|q| {
-            let out = kb.solve_seed_with(q, sweep_config());
+            let out = casekit_oracle::fol::solve_with(kb, q, sweep_config());
             QueryVerdict {
                 answers: out.solutions.iter().map(|s| s.to_string()).collect(),
                 truncated: out.truncated,

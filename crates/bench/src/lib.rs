@@ -16,6 +16,7 @@ use casekit_fallacies::taxonomy::InformalFallacy;
 use casekit_logic::fol::{desert_bank_kb, parse_query};
 use casekit_logic::nd::Proof;
 use casekit_logic::sorts::SortRegistry;
+use serde::Value;
 use std::fmt::Write as _;
 
 pub mod af;
@@ -29,9 +30,26 @@ pub mod logic;
 pub mod ltl;
 pub mod service;
 
-/// Writes `json` to `path`, warning instead of failing on I/O errors
-/// (the artefact is also printed or judged).
+/// Writes the report `json` to `path`, followed by the run facts that
+/// make two reports comparable, as perfbench's run record carries them:
+/// `host_parallelism` (unless the report records it itself) and the
+/// build `profile`. Warns instead of failing on I/O errors (the
+/// artefact is also printed or judged).
 pub fn write_artifact(path: &str, json: &str) {
+    let mut report = serde_json::value_from_str(json).expect("a report is JSON");
+    if let Value::Object(fields) = &mut report {
+        if !fields.iter().any(|(key, _)| key == "host_parallelism") {
+            let cores = Runtime::host_parallelism() as i128;
+            fields.push(("host_parallelism".into(), Value::Int(cores)));
+        }
+        let profile = if cfg!(debug_assertions) {
+            "debug"
+        } else {
+            "release"
+        };
+        fields.push(("profile".into(), Value::Str(profile.into())));
+    }
+    let json = serde_json::to_string_pretty(&report).expect("a report serializes");
     if let Err(e) = std::fs::write(path, json) {
         eprintln!("warning: could not write {path}: {e}");
     } else {

@@ -18,9 +18,8 @@
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, EdgeKind, FormalPayload, NodeIdx, NodeKind};
 use casekit_experiments::generator::{generate, GeneratorConfig, SeededFormal};
-use casekit_logic::prop::{
-    legacy, Atom, Clause, ClauseSet, DpllSolver, Formula, Literal, SatResult, Solver, Var,
-};
+use casekit_logic::prop::{Atom, Clause, ClauseSet, Formula, Literal, SatResult, Solver, Var};
+use casekit_oracle::{legacy, DpllSolver};
 use serde::Serialize;
 
 /// Generates a deterministic population of hazard-breakdown arguments

@@ -1,6 +1,6 @@
 //! LTL benchmark harness: seeded Kripke-structure generators, the seed
-//! checker (`Kripke::check_bounded_naive`) as the oracle, and the CSR
-//! index plane (`Kripke::check_bounded`) as the measured path.
+//! checker ([`casekit_oracle::ltl::check_bounded`]) as the oracle, and
+//! the CSR index plane (`Kripke::check_bounded`) as the measured path.
 //!
 //! The seed checker enumerates candidate lassos with `BTreeSet<Arc<str>>`
 //! state labels, clones them into a [`Trace`] per lasso, and evaluates
@@ -91,7 +91,7 @@ pub fn random_kripke(n: usize, chords: usize, n_props: usize, seed: u64) -> Krip
 fn verdicts_naive(k: &Kripke, formulas: &[Ltl], bound: usize) -> Vec<CheckResult> {
     formulas
         .iter()
-        .map(|f| k.check_bounded_naive(f, bound).expect("initial state set"))
+        .map(|f| casekit_oracle::ltl::check_bounded(k, f, bound).expect("initial state set"))
         .collect()
 }
 

@@ -11,6 +11,10 @@
 //!   diagnostic stream (the `diagnostics_roundtrip` flag in `repro dsl`).
 //! - **Bench baseline**: `BENCH_dsl.json` measures corpus ingestion
 //!   against this parser's per-file abort-and-rescan behavior.
+//!
+//! It stays in this crate, not in `casekit-oracle`, because perfbench,
+//! which builds only product crates, checks its clean ingest files
+//! against [`parse_argument_seed`](super::parse_argument_seed).
 
 use crate::argument::{Argument, ArgumentBuilder};
 use crate::node::{FormalPayload, Node};

@@ -6,7 +6,6 @@
 //! [`profile`] classifies an [`Argument`] along all three.
 
 use crate::argument::Argument;
-use crate::node::{EdgeKind, NodeKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -61,11 +60,6 @@ impl Profile {
             out.push(Dimension::Deductive);
         }
         out
-    }
-
-    /// True for a purely informal argument (no dimension reached).
-    pub fn is_informal(&self) -> bool {
-        self.dimensions().is_empty()
     }
 }
 
@@ -124,37 +118,10 @@ pub fn profile(argument: &Argument) -> Profile {
     }
 }
 
-/// Counts, for reporting, how many nodes of each formality-relevant class
-/// an argument has: (propositional nodes, formalised nodes, support edges).
-pub fn formality_counts(argument: &Argument) -> (usize, usize, usize) {
-    // Arena-order scans: no id hashing or sorting, one pass each.
-    let propositional = argument
-        .arena()
-        .iter()
-        .filter(|n| n.kind.is_propositional())
-        .count();
-    let formalised = argument.formalised_count();
-    let support_edges = argument
-        .edges_idx()
-        .filter(|(_, _, kind)| *kind == EdgeKind::SupportedBy)
-        .count();
-    (propositional, formalised, support_edges)
-}
-
-/// Convenience: whether every goal in the argument is formalised — the
-/// full-formalisation end state Rushby's proposal drives toward.
-pub fn fully_symbolic(argument: &Argument) -> bool {
-    argument
-        .arena()
-        .iter()
-        .filter(|n| n.kind == NodeKind::Goal)
-        .all(|n| n.is_formalised())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::node::{FormalPayload, Node};
+    use crate::node::{FormalPayload, Node, NodeKind};
     use casekit_logic::prop::parse;
 
     fn informal() -> Argument {
@@ -190,7 +157,6 @@ mod tests {
         assert_eq!(p.symbolic, 0.0);
         assert_eq!(p.deductive, None);
         assert_eq!(p.dimensions(), vec![Dimension::SyntaxSpecified]);
-        assert!(!p.is_informal()); // it *is* syntax-specified
     }
 
     #[test]
@@ -246,17 +212,6 @@ mod tests {
             .unwrap();
         let p = profile(&a);
         assert!(p.syntax >= 0.0);
-    }
-
-    #[test]
-    fn counts_and_fully_symbolic() {
-        let a = symbolic_deductive();
-        let (prop_nodes, formalised, support) = formality_counts(&a);
-        assert_eq!(prop_nodes, 2);
-        assert_eq!(formalised, 2);
-        assert_eq!(support, 2);
-        assert!(fully_symbolic(&a));
-        assert!(!fully_symbolic(&informal()));
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl<'a> View<'a> {
         }
     }
 
-    /// A view with every internal node collapsed (roots visible).
-    pub fn fully_collapsed(argument: &'a Argument) -> Self {
-        let mut view = View::new(argument);
-        let roots: Vec<NodeIdx> = argument.roots_idx().collect();
-        view.collapsed.extend(roots);
-        view
-    }
-
     /// The underlying argument.
     pub fn argument(&self) -> &Argument {
         self.argument
@@ -53,23 +45,9 @@ impl<'a> View<'a> {
         }
     }
 
-    /// Expands `id`.
-    pub fn expand(&mut self, id: &NodeId) {
-        if let Some(idx) = self.argument.node_idx(id) {
-            self.collapsed.remove(&idx);
-        }
-    }
-
     /// Expands every node.
     pub fn expand_all(&mut self) {
         self.collapsed.clear();
-    }
-
-    /// Whether `id` is collapsed.
-    pub fn is_collapsed(&self, id: &NodeId) -> bool {
-        self.argument
-            .node_idx(id)
-            .is_some_and(|idx| self.collapsed.contains(&idx))
     }
 
     /// Ids of nodes currently visible (roots, plus children of expanded
@@ -97,11 +75,6 @@ impl<'a> View<'a> {
         for child in children {
             self.visit(child, out, seen);
         }
-    }
-
-    /// Number of nodes hidden by the current collapse state.
-    pub fn hidden_count(&self) -> usize {
-        self.argument.len().saturating_sub(self.visible().len())
     }
 
     /// Renders the view as an ASCII tree; collapsed nodes show a
@@ -174,8 +147,6 @@ mod tests {
         let a = sample();
         let v = View::new(&a);
         assert_eq!(v.visible().len(), a.len());
-        assert_eq!(v.hidden_count(), 0);
-        assert!(!v.is_collapsed(&"g1".into()));
         assert_eq!(v.argument().name(), "hi");
     }
 
@@ -186,7 +157,6 @@ mod tests {
         v.collapse(&"s1".into());
         let visible = v.visible();
         assert_eq!(visible.len(), 2); // g1, s1
-        assert_eq!(v.hidden_count(), 4);
         let r = v.render();
         assert!(r.contains("[+4 hidden]"));
         assert!(!r.contains("ev1"));
@@ -196,22 +166,11 @@ mod tests {
     fn expand_restores() {
         let a = sample();
         let mut v = View::new(&a);
-        v.collapse(&"s1".into());
-        v.expand(&"s1".into());
-        assert_eq!(v.hidden_count(), 0);
         v.collapse(&"g2".into());
         v.collapse(&"g3".into());
-        assert_eq!(v.hidden_count(), 2);
+        assert_eq!(v.visible().len(), a.len() - 2);
         v.expand_all();
-        assert_eq!(v.hidden_count(), 0);
-    }
-
-    #[test]
-    fn fully_collapsed_shows_only_roots() {
-        let a = sample();
-        let v = View::fully_collapsed(&a);
-        assert_eq!(v.visible().len(), 1);
-        assert!(v.render().contains("[+5 hidden]"));
+        assert_eq!(v.visible().len(), a.len());
     }
 
     #[test]
@@ -219,7 +178,7 @@ mod tests {
         let a = sample();
         let mut v = View::new(&a);
         v.collapse(&"zz".into());
-        assert_eq!(v.hidden_count(), 0);
+        assert_eq!(v.visible().len(), a.len());
     }
 
     #[test]
@@ -240,8 +199,5 @@ mod tests {
         v.collapse(&"s1".into());
         // g2's collapse state is irrelevant while s1 is collapsed.
         assert_eq!(v.visible().len(), 2);
-        v.expand(&"s1".into());
-        // Now g2's collapse matters again.
-        assert_eq!(v.visible().len(), 5); // g1 s1 g2 g3 e2
     }
 }

@@ -12,8 +12,8 @@
 //! hypothesised effect *shapes* can be demonstrated and stress-tested.
 //! Every run is deterministic given its seed.
 //!
-//! * [`stats`] — descriptives, Welch's t-test, Mann–Whitney U, Cohen's
-//!   kappa and d.
+//! * [`stats`] — descriptives, Welch's t-test, Cohen's d and mean
+//!   pairwise agreement.
 //! * [`population`] — simulated subject pools.
 //! * [`generator`] — synthetic GSN arguments with seeded formal and
 //!   informal fallacies, including reconstructions of the three Greenwell

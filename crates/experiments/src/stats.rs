@@ -24,15 +24,8 @@ pub enum StatsError {
         /// Observations actually supplied.
         got: usize,
     },
-    /// A sample contained NaN, which has no rank or mean.
+    /// A sample contained NaN, which has no mean.
     NanInput,
-    /// Paired ratings differed in length.
-    LengthMismatch {
-        /// Length of the first rating vector.
-        left: usize,
-        /// Length of the second rating vector.
-        right: usize,
-    },
     /// Fewer raters than the agreement measure needs.
     TooFewRaters {
         /// Raters supplied.
@@ -50,9 +43,6 @@ impl fmt::Display for StatsError {
                 write!(f, "need n \u{2265} {needed} per sample, got {got}")
             }
             StatsError::NanInput => write!(f, "samples must not contain NaN"),
-            StatsError::LengthMismatch { left, right } => {
-                write!(f, "paired ratings required, got lengths {left} and {right}")
-            }
             StatsError::TooFewRaters { got } => {
                 write!(f, "need at least two raters, got {got}")
             }
@@ -172,59 +162,6 @@ pub fn welch_t_test(a: &[f64], b: &[f64]) -> Result<TestResult, StatsError> {
     })
 }
 
-/// Mann–Whitney U test (two-sided, normal approximation with tie-free
-/// variance; ties get midranks).
-///
-/// # Errors
-///
-/// [`StatsError::EmptySample`] if either sample is empty;
-/// [`StatsError::NanInput`] when either sample contains NaN (NaN has no
-/// rank).
-pub fn mann_whitney_u(a: &[f64], b: &[f64]) -> Result<TestResult, StatsError> {
-    if a.is_empty() || b.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    if a.iter().chain(b).any(|x| x.is_nan()) {
-        return Err(StatsError::NanInput);
-    }
-    let n1 = a.len() as f64;
-    let n2 = b.len() as f64;
-    // Midranks over the pooled sample (total order holds: NaN rejected).
-    let mut pooled: Vec<(f64, usize)> = a
-        .iter()
-        .map(|&x| (x, 0usize))
-        .chain(b.iter().map(|&x| (x, 1usize)))
-        .collect();
-    pooled.sort_by(|x, y| x.0.total_cmp(&y.0));
-    let mut ranks = vec![0f64; pooled.len()];
-    let mut i = 0;
-    while i < pooled.len() {
-        let mut j = i;
-        while j + 1 < pooled.len() && pooled[j + 1].0 == pooled[i].0 {
-            j += 1;
-        }
-        let midrank = (i + j) as f64 / 2.0 + 1.0;
-        for r in ranks.iter_mut().take(j + 1).skip(i) {
-            *r = midrank;
-        }
-        i = j + 1;
-    }
-    let r1: f64 = pooled
-        .iter()
-        .zip(&ranks)
-        .filter(|((_, group), _)| *group == 0)
-        .map(|(_, r)| *r)
-        .sum();
-    let u1 = r1 - n1 * (n1 + 1.0) / 2.0;
-    let mu = n1 * n2 / 2.0;
-    let sigma = (n1 * n2 * (n1 + n2 + 1.0) / 12.0).sqrt();
-    let z = if sigma == 0.0 { 0.0 } else { (u1 - mu) / sigma };
-    Ok(TestResult {
-        statistic: z,
-        p_value: (2.0 * (1.0 - normal_cdf(z.abs()))).clamp(0.0, 1.0),
-    })
-}
-
 /// Cohen's d (pooled-SD standardised mean difference).
 ///
 /// # Errors
@@ -245,54 +182,6 @@ pub fn cohens_d(a: &[f64], b: &[f64]) -> Result<f64, StatsError> {
         0.0
     } else {
         (da.mean - db.mean) / pooled
-    })
-}
-
-/// Cohen's kappa for two raters over categorical labels.
-///
-/// Returns 1.0 for perfect agreement (including the degenerate
-/// single-category case) and can be negative for worse-than-chance
-/// agreement.
-///
-/// # Errors
-///
-/// [`StatsError::LengthMismatch`] if the rating vectors differ in length;
-/// [`StatsError::EmptySample`] if they are empty.
-pub fn cohens_kappa<T: PartialEq + Clone>(rater_a: &[T], rater_b: &[T]) -> Result<f64, StatsError> {
-    if rater_a.len() != rater_b.len() {
-        return Err(StatsError::LengthMismatch {
-            left: rater_a.len(),
-            right: rater_b.len(),
-        });
-    }
-    if rater_a.is_empty() {
-        return Err(StatsError::EmptySample);
-    }
-    let n = rater_a.len() as f64;
-    let observed = rater_a.iter().zip(rater_b).filter(|(x, y)| x == y).count() as f64 / n;
-    // Category marginals.
-    let mut categories: Vec<T> = Vec::new();
-    for item in rater_a.iter().chain(rater_b) {
-        if !categories.contains(item) {
-            categories.push(item.clone());
-        }
-    }
-    let expected: f64 = categories
-        .iter()
-        .map(|c| {
-            let pa = rater_a.iter().filter(|x| *x == c).count() as f64 / n;
-            let pb = rater_b.iter().filter(|x| *x == c).count() as f64 / n;
-            pa * pb
-        })
-        .sum();
-    Ok(if (1.0 - expected).abs() < 1e-12 {
-        if (observed - 1.0).abs() < 1e-12 {
-            1.0
-        } else {
-            0.0
-        }
-    } else {
-        (observed - expected) / (1.0 - expected)
     })
 }
 
@@ -403,46 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn mann_whitney_detects_shift() {
-        let a: Vec<f64> = (0..25).map(|i| i as f64).collect();
-        let b: Vec<f64> = (0..25).map(|i| i as f64 + 30.0).collect();
-        let r = mann_whitney_u(&a, &b).unwrap();
-        assert!(r.p_value < 0.001);
-    }
-
-    #[test]
-    fn mann_whitney_no_shift() {
-        let a: Vec<f64> = (0..25).map(|i| (i % 7) as f64).collect();
-        let r = mann_whitney_u(&a, &a).unwrap();
-        assert!(r.p_value > 0.9);
-    }
-
-    #[test]
-    fn mann_whitney_handles_ties() {
-        let a = vec![1.0, 1.0, 2.0, 2.0];
-        let b = vec![1.0, 2.0, 2.0, 2.0];
-        let r = mann_whitney_u(&a, &b).unwrap();
-        assert!(r.p_value > 0.3);
-    }
-
-    #[test]
-    fn mann_whitney_nan_is_an_error_not_a_panic() {
-        assert_eq!(
-            mann_whitney_u(&[1.0, f64::NAN], &[2.0]),
-            Err(StatsError::NanInput)
-        );
-        assert_eq!(
-            mann_whitney_u(&[1.0], &[f64::NAN]),
-            Err(StatsError::NanInput)
-        );
-    }
-
-    #[test]
-    fn mann_whitney_empty_is_an_error() {
-        assert_eq!(mann_whitney_u(&[], &[1.0]), Err(StatsError::EmptySample));
-    }
-
-    #[test]
     fn cohens_d_magnitude() {
         let a = vec![1.0, 2.0, 3.0, 4.0, 5.0];
         let b = vec![3.0, 4.0, 5.0, 6.0, 7.0];
@@ -457,39 +306,6 @@ mod tests {
             cohens_d(&[], &[1.0, 2.0]),
             Err(StatsError::TooFewObservations { needed: 2, got: 0 })
         );
-    }
-
-    #[test]
-    fn kappa_perfect_and_chance() {
-        let a = vec!["x", "y", "x", "y"];
-        assert!((cohens_kappa(&a, &a).unwrap() - 1.0).abs() < 1e-12);
-        // Independent-looking ratings: kappa near zero.
-        let r1 = vec!["x", "x", "y", "y"];
-        let r2 = vec!["x", "y", "x", "y"];
-        let k = cohens_kappa(&r1, &r2).unwrap();
-        assert!(k.abs() < 1e-12);
-    }
-
-    #[test]
-    fn kappa_worse_than_chance_is_negative() {
-        let r1 = vec![true, false, true, false];
-        let r2 = vec![false, true, false, true];
-        assert!(cohens_kappa(&r1, &r2).unwrap() < 0.0);
-    }
-
-    #[test]
-    fn kappa_degenerate_single_category() {
-        let r = vec!["same"; 5];
-        assert_eq!(cohens_kappa(&r, &r), Ok(1.0));
-    }
-
-    #[test]
-    fn kappa_mismatched_lengths_are_an_error() {
-        assert_eq!(
-            cohens_kappa(&[true, false], &[true]),
-            Err(StatsError::LengthMismatch { left: 2, right: 1 })
-        );
-        assert_eq!(cohens_kappa::<bool>(&[], &[]), Err(StatsError::EmptySample));
     }
 
     #[test]

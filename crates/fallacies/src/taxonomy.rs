@@ -132,14 +132,6 @@ pub enum FallacyKind {
     Informal(InformalFallacy),
 }
 
-impl FallacyKind {
-    /// Whether this fallacy is detectable by form-only (mechanical)
-    /// analysis.
-    pub fn is_formal(&self) -> bool {
-        matches!(self, FallacyKind::Formal(_))
-    }
-}
-
 impl fmt::Display for FallacyKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -189,17 +181,17 @@ mod tests {
         // strictly formal".
         for kind in InformalFallacy::GREENWELL_KINDS {
             let k: FallacyKind = kind.into();
-            assert!(!k.is_formal());
+            assert!(matches!(k, FallacyKind::Informal(_)));
         }
     }
 
     #[test]
     fn kind_wrapping_and_display() {
         let k: FallacyKind = FormalFallacy::BeggingTheQuestion.into();
-        assert!(k.is_formal());
+        assert!(matches!(k, FallacyKind::Formal(_)));
         assert!(k.to_string().contains("(formal)"));
         let k: FallacyKind = InformalFallacy::Equivocation.into();
-        assert!(!k.is_formal());
+        assert!(matches!(k, FallacyKind::Informal(_)));
         assert!(k.to_string().contains("equivocation"));
     }
 }

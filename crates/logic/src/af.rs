@@ -34,9 +34,9 @@
 //! serves extension listing, the preferred-semantics maximality loop,
 //! and credulous/sceptical acceptance queries — and everything the
 //! solver learns answering one question speeds up the next. The seed's
-//! exponential enumerator survives as [`naive`] (oracle and measured
-//! baseline, capped at [`naive::ENUMERATION_LIMIT`] arguments); the
-//! public [`Framework`] API has no argument-count ceiling.
+//! exponential enumerator is the differential oracle
+//! `casekit_oracle::af` (capped at 16 arguments), outside the product
+//! API; the public [`Framework`] API has no argument-count ceiling.
 //!
 //! # Scale: the SCC-decomposed path
 //!
@@ -59,7 +59,6 @@
 //! extension set for extension set.
 
 pub mod encode;
-pub mod naive;
 pub mod scc;
 
 use crate::error::LogicError;
@@ -214,8 +213,8 @@ impl Framework {
     /// arguments are accepted, everything they attack is defeated, and
     /// each defeat retires one attacker of the defeated argument's
     /// targets — an argument whose last live attacker retires is
-    /// accepted in turn. (The seed's quadratic fixpoint survives as
-    /// [`naive::grounded_extension`] for differential testing.)
+    /// accepted in turn. (The seed's quadratic fixpoint is the
+    /// differential oracle `casekit_oracle::af::grounded_extension`.)
     pub fn grounded_extension(&self) -> BTreeSet<ArgId> {
         self.adjacency().grounded()
     }
@@ -320,11 +319,6 @@ impl Adjacency {
     /// Number of arguments.
     pub fn num_args(&self) -> usize {
         self.attackers.rows()
-    }
-
-    /// Number of attacks.
-    pub fn num_attacks(&self) -> usize {
-        self.attackers.num_entries()
     }
 
     /// The attackers of `target`, sorted ascending.
@@ -676,7 +670,6 @@ mod tests {
         af.add_attack(a, c).unwrap();
         let adj = af.adjacency();
         assert_eq!(adj.num_args(), 3);
-        assert_eq!(adj.num_attacks(), 3);
         assert_eq!(adj.attackers(a), &[b, c]);
         assert_eq!(adj.attackers(b), &[] as &[ArgId]);
         assert_eq!(adj.attackers(c), &[a]);
@@ -730,36 +723,5 @@ mod tests {
         }
         // Stable extensions coincide here (no odd cycles, no undec).
         assert_eq!(af.stable_extensions().len(), 8);
-    }
-
-    #[test]
-    fn grounded_matches_naive_fixpoint_on_assorted_shapes() {
-        let shapes: Vec<Vec<(ArgId, ArgId)>> = vec![
-            vec![],
-            vec![(0, 0)],
-            vec![(0, 1), (1, 0)],
-            vec![(1, 0), (2, 1), (3, 2), (4, 3)],
-            vec![(0, 1), (1, 2), (2, 0)],
-            vec![(1, 0), (2, 0), (3, 1), (3, 2), (4, 4)],
-        ];
-        for attacks in shapes {
-            let n = attacks
-                .iter()
-                .flat_map(|&(a, t)| [a, t])
-                .max()
-                .map_or(1, |m| m + 1);
-            let mut af = Framework::new();
-            for i in 0..n {
-                af.add_argument(format!("a{i}"));
-            }
-            for (a, t) in attacks {
-                af.add_attack(a, t).unwrap();
-            }
-            assert_eq!(
-                af.grounded_extension(),
-                naive::grounded_extension(&af),
-                "grounded engines disagree on {af:?}"
-            );
-        }
     }
 }

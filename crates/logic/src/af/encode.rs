@@ -305,7 +305,6 @@ impl AfSat {
 
 #[cfg(test)]
 mod tests {
-    use super::super::naive;
     use super::*;
 
     fn framework(n: usize, attacks: &[(ArgId, ArgId)]) -> Framework {
@@ -319,59 +318,12 @@ mod tests {
         af
     }
 
-    fn as_set(extensions: Vec<BTreeSet<ArgId>>) -> BTreeSet<BTreeSet<ArgId>> {
-        extensions.into_iter().collect()
-    }
-
     #[test]
     fn empty_framework_has_the_empty_extension() {
         let af = framework(0, &[]);
         assert_eq!(AfSat::complete(&af).extensions(None), vec![BTreeSet::new()]);
         assert_eq!(AfSat::complete(&af).preferred(), vec![BTreeSet::new()]);
         assert_eq!(AfSat::stable(&af).extensions(None), vec![BTreeSet::new()]);
-    }
-
-    #[test]
-    fn agrees_with_the_enumerator_on_hand_picked_shapes() {
-        let shapes: Vec<(usize, Vec<(ArgId, ArgId)>)> = vec![
-            (1, vec![]),
-            (1, vec![(0, 0)]),
-            (2, vec![(0, 1), (1, 0)]),
-            (3, vec![(0, 1), (1, 0), (0, 2), (1, 2)]),
-            (3, vec![(0, 1), (1, 2), (2, 0)]),
-            (4, vec![(0, 1), (1, 0), (2, 3), (3, 2)]),
-            (5, vec![(1, 0), (2, 1), (3, 2), (4, 3), (0, 4)]),
-            (
-                6,
-                vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)],
-            ),
-        ];
-        for (n, attacks) in shapes {
-            let af = framework(n, &attacks);
-            let mut sat = AfSat::complete(&af);
-            assert_eq!(
-                as_set(sat.extensions(None)),
-                as_set(naive::complete_extensions(&af).unwrap()),
-                "complete disagrees on {attacks:?}"
-            );
-            assert_eq!(
-                as_set(sat.preferred()),
-                as_set(naive::preferred_extensions(&af).unwrap()),
-                "preferred disagrees on {attacks:?}"
-            );
-            assert_eq!(
-                as_set(AfSat::stable(&af).extensions(None)),
-                as_set(naive::stable_extensions(&af).unwrap()),
-                "stable disagrees on {attacks:?}"
-            );
-            for id in 0..n {
-                assert_eq!(
-                    sat.credulous(id),
-                    naive::credulously_accepted(&af, id).unwrap(),
-                    "credulous disagrees on {attacks:?} id {id}"
-                );
-            }
-        }
     }
 
     #[test]

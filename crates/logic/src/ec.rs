@@ -5,9 +5,8 @@
 //!
 //! * `Happens(e, t)` — event `e` occurs at time `t` (given as a narrative);
 //! * `Initiates(e, f)` / `Terminates(e, f)` — domain axioms;
-//! * `InitiallyTrue(f)` — initial state;
 //! * `HoldsAt(f, t)` — derived: a fluent holds at `t` iff it was initiated
-//!   at some `t' < t` (or initially) and not terminated in between.
+//!   at some `t' < t` and not terminated in between.
 //!
 //! Fluents and events are ground first-order terms (from [`crate::fol`]),
 //! so domain axioms can be written with structure, e.g.
@@ -30,7 +29,6 @@
 use crate::error::LogicError;
 use crate::fol::Term;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeSet;
 
 /// Discrete time point.
 pub type Time = u64;
@@ -48,7 +46,6 @@ struct EffectAxiom {
 pub struct Narrative {
     initiates: Vec<EffectAxiom>,
     terminates: Vec<EffectAxiom>,
-    initially: Vec<Term>,
     happens: Vec<(Term, Time)>,
 }
 
@@ -89,18 +86,6 @@ impl Narrative {
     pub fn terminates(&mut self, event: Term, fluent: Term) -> Result<(), LogicError> {
         Self::check_axiom(&event, &fluent, "terminates")?;
         self.terminates.push(EffectAxiom { event, fluent });
-        Ok(())
-    }
-
-    /// Declares that `fluent` holds at time 0. Errors when the fluent is
-    /// not ground: the initial state is a set of facts, not patterns.
-    pub fn initially_true(&mut self, fluent: Term) -> Result<(), LogicError> {
-        if !fluent.is_ground() {
-            return Err(LogicError::NonGroundTerm {
-                term: fluent.to_string(),
-            });
-        }
-        self.initially.push(fluent);
         Ok(())
     }
 
@@ -147,12 +132,12 @@ impl Narrative {
 
     /// Whether `fluent` (a ground term) holds at `time`.
     ///
-    /// Semantics: `HoldsAt(f, 0)` iff `InitiallyTrue(f)`; for `t > 0`,
-    /// effects of events at time `t-1` apply at `t`, with termination
-    /// taking precedence over initiation at the same instant, and inertia
+    /// Semantics: no fluent holds at time 0; for `t > 0`, effects of
+    /// events at time `t-1` apply at `t`, with termination taking
+    /// precedence over initiation at the same instant, and inertia
     /// otherwise.
     pub fn holds_at(&self, fluent: &Term, time: Time) -> bool {
-        let mut holds = self.initially.contains(fluent);
+        let mut holds = false;
         for t in 0..time {
             let mut initiated = false;
             let mut terminated = false;
@@ -172,40 +157,6 @@ impl Narrative {
             // Otherwise inertia: `holds` is unchanged.
         }
         holds
-    }
-
-    /// All ground fluents that hold at `time` (restricted to fluents that
-    /// are mentioned initially or derivable from a happened event).
-    pub fn state_at(&self, time: Time) -> BTreeSet<Term> {
-        let mut candidates: BTreeSet<Term> = self.initially.iter().cloned().collect();
-        for (event, _) in &self.happens {
-            candidates.extend(Self::effects(&self.initiates, event));
-            candidates.extend(Self::effects(&self.terminates, event));
-        }
-        candidates
-            .into_iter()
-            .filter(|f| self.holds_at(f, time))
-            .collect()
-    }
-
-    /// Checks a *policy invariant*: `fluent` never holds at any time in
-    /// `0..=horizon+1`. Returns the first violating time if any.
-    ///
-    /// This is the "denial" check of Tun et al.: e.g. location information
-    /// must never be available to a non-friend.
-    pub fn never_holds(&self, fluent: &Term) -> Result<(), Time> {
-        for t in 0..=self.horizon() + 1 {
-            if self.holds_at(fluent, t) {
-                return Err(t);
-            }
-        }
-        Ok(())
-    }
-
-    /// Checks an *availability* property: `fluent` holds at some time in
-    /// `0..=horizon+1`. Returns the first such time.
-    pub fn eventually_holds(&self, fluent: &Term) -> Option<Time> {
-        (0..=self.horizon() + 1).find(|&t| self.holds_at(fluent, t))
     }
 }
 
@@ -227,15 +178,6 @@ mod tests {
         n.terminates(t("untap(User, Subject)"), t("loc_avail(User, Subject)"))
             .unwrap();
         n
-    }
-
-    #[test]
-    fn initially_true_holds_at_zero() {
-        let mut n = Narrative::new();
-        n.initially_true(t("friends(alice, bob)")).unwrap();
-        assert!(n.holds_at(&t("friends(alice, bob)"), 0));
-        assert!(n.holds_at(&t("friends(alice, bob)"), 100)); // inertia
-        assert!(!n.holds_at(&t("friends(bob, carol)"), 0));
     }
 
     #[test]
@@ -275,36 +217,6 @@ mod tests {
         assert!(n.holds_at(&t("loc_avail(alice, bob)"), 1));
         assert!(n.holds_at(&t("loc_avail(carol, dave)"), 1));
         assert!(!n.holds_at(&t("loc_avail(alice, dave)"), 1));
-    }
-
-    #[test]
-    fn state_at_collects_holding_fluents() {
-        let mut n = tap_narrative();
-        n.initially_true(t("friends(alice, bob)")).unwrap();
-        n.happens(t("tap(alice, bob)"), 0).unwrap();
-        let state = n.state_at(1);
-        assert!(state.contains(&t("friends(alice, bob)")));
-        assert!(state.contains(&t("loc_avail(alice, bob)")));
-        assert_eq!(state.len(), 2);
-    }
-
-    #[test]
-    fn never_holds_policy_check() {
-        let mut n = tap_narrative();
-        n.happens(t("tap(eve, bob)"), 2).unwrap();
-        // Policy: eve (not a friend) must never see bob's location.
-        // The naive narrative violates it at t=3.
-        assert_eq!(n.never_holds(&t("loc_avail(eve, bob)")), Err(3));
-        // alice never tapped, so the policy holds for her.
-        assert_eq!(n.never_holds(&t("loc_avail(alice, bob)")), Ok(()));
-    }
-
-    #[test]
-    fn eventually_holds_availability_check() {
-        let mut n = tap_narrative();
-        n.happens(t("tap(alice, bob)"), 7).unwrap();
-        assert_eq!(n.eventually_holds(&t("loc_avail(alice, bob)")), Some(8));
-        assert_eq!(n.eventually_holds(&t("loc_avail(bob, alice)")), None);
     }
 
     #[test]
@@ -352,12 +264,7 @@ mod tests {
                 term: "tap(X, bob)".into(),
             }
         );
-        let err = n
-            .initially_true(t("friends(alice, Who)"))
-            .expect_err("Who is unbound");
-        assert!(matches!(err, LogicError::NonGroundTerm { .. }));
         assert_eq!(n.horizon(), 0);
-        assert!(n.state_at(5).is_empty());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! SLD resolution over Horn knowledge bases.
 
 use super::term::{Clause, Term};
-use super::unify::{unify, Substitution};
+use super::unify::Substitution;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -103,31 +103,6 @@ impl KnowledgeBase {
         super::interned::InternedKb::compile(self).solve_with(goal, config)
     }
 
-    /// Solves `goal` with the seed recursive engine (the differential
-    /// oracle): clause-scan dispatch, name-plane renaming, map-backed
-    /// substitutions, and call-stack recursion.
-    pub fn solve_seed(&self, goal: &Term) -> SolveOutcome {
-        self.solve_seed_with(goal, SolveConfig::default())
-    }
-
-    /// Seed-engine counterpart of [`KnowledgeBase::solve_with`].
-    pub fn solve_seed_with(&self, goal: &Term, config: SolveConfig) -> SolveOutcome {
-        let mut search = Search {
-            kb: self,
-            config,
-            work: 0,
-            fresh: 0,
-            solutions: Vec::new(),
-            truncated: false,
-            query_vars: goal.variables(),
-        };
-        search.prove(std::slice::from_ref(goal), &Substitution::new(), 0);
-        SolveOutcome {
-            solutions: search.solutions,
-            truncated: search.truncated,
-        }
-    }
-
     /// True when the goal has at least one derivation (under defaults).
     ///
     /// This is the "formal validation" of Figure 1 — derivability, which is
@@ -157,57 +132,6 @@ impl fmt::Display for KnowledgeBase {
             writeln!(f, "{c}")?;
         }
         Ok(())
-    }
-}
-
-struct Search<'a> {
-    kb: &'a KnowledgeBase,
-    config: SolveConfig,
-    work: usize,
-    fresh: usize,
-    solutions: Vec<Solution>,
-    truncated: bool,
-    query_vars: std::collections::BTreeSet<std::sync::Arc<str>>,
-}
-
-impl Search<'_> {
-    /// Depth-first SLD: prove all `goals` under `subst`.
-    fn prove(&mut self, goals: &[Term], subst: &Substitution, depth: usize) {
-        if self.solutions.len() >= self.config.max_solutions {
-            return;
-        }
-        let (goal, rest) = match goals.split_first() {
-            None => {
-                let bindings = subst.project(self.query_vars.iter().cloned());
-                let solution = Solution { bindings };
-                if !self.solutions.contains(&solution) {
-                    self.solutions.push(solution);
-                }
-                return;
-            }
-            Some((g, r)) => (g.clone(), r),
-        };
-        if depth >= self.config.max_depth {
-            self.truncated = true;
-            return;
-        }
-        for clause in &self.kb.clauses {
-            self.work += 1;
-            if self.work > self.config.max_work {
-                self.truncated = true;
-                return;
-            }
-            self.fresh += 1;
-            let renamed = clause.rename_variables(self.fresh);
-            if let Some(next_subst) = unify(&goal, &renamed.head, subst) {
-                let mut next_goals = renamed.body.clone();
-                next_goals.extend(rest.iter().cloned());
-                self.prove(&next_goals, &next_subst, depth + 1);
-                if self.solutions.len() >= self.config.max_solutions {
-                    return;
-                }
-            }
-        }
     }
 }
 
@@ -327,17 +251,6 @@ mod tests {
                            adjacent(X, Y) :- is_a(X, Z), adjacent(Z, Y).");
         let reparsed = parse_program(&original.to_string()).unwrap();
         assert_eq!(original, reparsed);
-    }
-
-    #[test]
-    fn default_engine_matches_seed_oracle() {
-        let kb = kb("parent(tom, bob). parent(tom, liz). parent(bob, ann).\n\
-                     ancestor(X, Y) :- parent(X, Y).\n\
-                     ancestor(X, Y) :- parent(X, Z), ancestor(Z, Y).");
-        for query in ["ancestor(tom, X)", "parent(X, Y)", "ancestor(X, ann)"] {
-            let goal = parse_query(query).unwrap();
-            assert_eq!(kb.solve(&goal), kb.solve_seed(&goal), "query {query}");
-        }
     }
 
     #[test]

@@ -23,10 +23,10 @@
 //! and an *index plane*:
 //!
 //! * The name plane (`term`, [`unify`], `parser`) is the readable
-//!   surface: [`Term`] trees over `Arc<str>` names, map-backed
-//!   [`Substitution`]s, and the recursive seed engine reachable through
-//!   [`KnowledgeBase::solve_seed_with`]. It is kept as the differential
-//!   oracle the fast plane is checked against.
+//!   surface: [`Term`] trees over `Arc<str>` names and map-backed
+//!   [`Substitution`]s. The seed recursive engine that resolves on it is
+//!   the differential oracle `casekit_oracle::fol::solve_with`, outside
+//!   the product API, which the fast plane is checked against.
 //! * The index plane (`interned`) compiles a [`KnowledgeBase`] into an
 //!   [`InternedKb`]: symbols intern to `u32` ids, terms hash-cons into a
 //!   flat arena ([`TermId`] nodes with argument slices in one shared
@@ -35,9 +35,8 @@
 //!   a trail, and path compression instead of clone-per-apply maps.
 //!
 //! [`KnowledgeBase::solve`] and [`KnowledgeBase::solve_with`] route
-//! through the index plane by default; `solve_seed`/`solve_seed_with`
-//! expose the seed engine for cross-checks and benchmarks
-//! (`crates/bench/src/fol.rs`, `repro fol`).
+//! through the index plane; `crates/bench/src/fol.rs` (`repro fol`)
+//! measures them against the oracle.
 
 mod engine;
 mod interned;

@@ -27,9 +27,7 @@
 //!   grounded/complete/stable/preferred semantics and a
 //!   deliberation-dialogue layer, after Tolchinsky et al.'s
 //!   safety-critical decision support. Extensions are decided by the
-//!   CDCL solver over a labelling encoding ([`af::encode`]); the seed's
-//!   exponential enumerator survives as [`af::naive`] (≤ 16 arguments)
-//!   for differential testing.
+//!   CDCL solver over a labelling encoding ([`af::encode`]).
 //! * [`probe`] — Rushby's "what-if" premise probing over propositional
 //!   theories.
 //! * [`graph`] — the workspace's one graph kernel: a counting-sort CSR
@@ -63,9 +61,9 @@
 //!   dense `u32` variables; [`prop::intern::Lit`] packs a variable and
 //!   its sign into one word (negation is an XOR); [`prop::Solver`]
 //!   keeps all clauses in one flat literal arena and decides them with
-//!   an **iterative two-watched-literal DPLL** — explicit trail,
-//!   chronological backtracking, activity-ordered decisions, no
-//!   recursion and no per-branch cloning.
+//!   an iterative **CDCL** search — two watched literals, first-UIP
+//!   learning, backjumping, VSIDS decisions — with no recursion and no
+//!   per-branch cloning.
 //!
 //! The planes meet in [`prop::Theory`], which Tseitin-compiles formulas
 //! straight into packed literals with full biconditional definitions,
@@ -75,10 +73,7 @@
 //! argument and answer every entailment question through
 //! `assume`/`check`/`retract` rounds against the same clause database.
 //! The historical entry points ([`prop::dpll`],
-//! `Formula::{entails, is_satisfiable, …}`) remain as thin wrappers,
-//! and the seed's recursive solver is preserved in [`prop::legacy`] as
-//! a differential-testing oracle and benchmark baseline (`repro
-//! logic` emits the measured comparison as `BENCH_logic.json`).
+//! `Formula::{entails, is_satisfiable, …}`) remain as thin wrappers.
 //!
 //! The same split now covers every decidable substrate. [`af`] compiles
 //! attack graphs to [`graph::Csr`] adjacency and decides semantics
@@ -86,16 +81,23 @@
 //! [`graph::scc`] components above it).
 //! [`fol`] interns terms into a hash-consed arena and resolves through
 //! a first-argument-indexed, explicitly-stacked SLD machine
-//! ([`fol::InternedKb`]); the seed recursive engine survives as
-//! `KnowledgeBase::solve_seed_with`, the differential oracle (`repro
-//! fol` → `BENCH_fol.json`). [`ltl`] compiles Kripke structures to
+//! ([`fol::InternedKb`]). [`ltl`] compiles Kripke structures to
 //! [`graph::Csr`] out-edges with bitset labels and formulas to a
 //! hash-consed node arena, evaluating candidate lassos by closure table
-//! ([`ltl::CsrKripke`]); the seed trace checker survives as
-//! `Kripke::check_bounded_naive`, the differential oracle (`repro ltl`
-//! → `BENCH_ltl.json`). In every substrate the name-plane API stays the
+//! ([`ltl::CsrKripke`]). In every substrate the name-plane API stays the
 //! single entry point and routes to the index plane internally, and the
 //! fallible operations return [`LogicError`] instead of panicking.
+//!
+//! ## Oracles live outside this crate
+//!
+//! The seed engine each substrate replaced is kept in the separate
+//! `casekit-oracle` crate as its differential oracle and benchmark
+//! baseline: the recursive DPLL and the chronological DPLL for
+//! [`prop`], the subset enumerator for [`af`], the recursive SLD engine
+//! for [`fol`] and the trace-building lasso checker for [`ltl`]. No
+//! product crate depends on it. `repro logic`, `af`, `fol` and `ltl`
+//! measure each product engine against its oracle and write the
+//! `BENCH_*.json` comparisons.
 
 #![forbid(unsafe_code)]
 

@@ -28,7 +28,7 @@
 //! The DFS in [`CsrKripke::check_bounded`] visits lassos in exactly the
 //! seed checker's order (deadlocks stutter on their last state; a loop
 //! closes at the first on-path revisit), so counterexamples compare
-//! equal to [`super::Kripke::check_bounded_naive`]'s.
+//! equal to the seed checker's (`casekit_oracle::ltl::check_bounded`).
 
 use super::ast::Ltl;
 use super::kripke::{CheckResult, Kripke, StateId};
@@ -94,11 +94,6 @@ impl CsrKripke {
     /// Whether the structure has no states.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of distinct propositions across all states.
-    pub fn prop_count(&self) -> usize {
-        self.prop_index.len()
     }
 
     /// The successors of a state, in insertion order.
@@ -502,7 +497,7 @@ mod tests {
         assert_eq!(csr.successors_of(s0 as u32), &[s1 as u32, s2 as u32]);
         assert_eq!(csr.successors_of(s1 as u32), &[] as &[u32]);
         assert_eq!(csr.successors_of(s2 as u32), &[s0 as u32]);
-        assert_eq!(csr.prop_count(), 2);
+        assert_eq!(csr.prop_index.len(), 2);
         let x = csr.prop_index["x"];
         let y = csr.prop_index["y"];
         assert!(csr.has_prop(s0 as u32, x) && !csr.has_prop(s0 as u32, y));

@@ -25,8 +25,9 @@
 //!
 //! * The name plane ([`Kripke`], [`Trace`]) keeps states labelled with
 //!   `Arc<str>` proposition sets and evaluates formulas recursively over
-//!   [`Trace`]s; [`Kripke::check_bounded_naive`] is the seed checker,
-//!   retained as the differential oracle.
+//!   [`Trace`]s. The seed checker, which builds a [`Trace`] per lasso,
+//!   is the differential oracle `casekit_oracle::ltl::check_bounded`,
+//!   outside the product API.
 //! * The index plane (`csr`) compiles the structure to a [`CsrKripke`]
 //!   — compressed-sparse-row out-edges plus bitset labels over an
 //!   interned proposition universe — and the formula to a

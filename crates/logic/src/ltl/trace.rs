@@ -82,11 +82,6 @@ impl Trace {
         self.states.is_empty()
     }
 
-    /// Whether the trace is a lasso (infinite) trace.
-    pub fn is_lasso(&self) -> bool {
-        self.loop_start.is_some()
-    }
-
     /// Whether `prop` holds at stored position `i`.
     pub fn holds(&self, i: usize, prop: &str) -> bool {
         self.states
@@ -193,7 +188,7 @@ mod tests {
         assert!(t.holds(2, "a") && t.holds(2, "b"));
         assert!(!t.holds(3, "a"));
         assert_eq!(t.len(), 3);
-        assert!(!t.is_lasso());
+        assert!(t.loop_start.is_none());
         assert!(!t.is_empty());
     }
 
@@ -248,7 +243,7 @@ mod tests {
         // Lasso: p in the loop means G F p.
         let t = Trace::lasso(vec![Vec::<&str>::new()], vec![vec!["p"], vec![]]);
         assert!(t.satisfies(&f("G F p")));
-        assert!(t.is_lasso());
+        assert!(t.loop_start.is_some());
         // Lasso with p only in the prefix: F p holds but G p does not.
         let t2 = Trace::lasso(vec![vec!["p"]], vec![NONE.to_vec()]);
         assert!(t2.satisfies(&f("F p")));

@@ -179,11 +179,6 @@ impl ClauseSet {
         self.clauses.insert(clause);
     }
 
-    /// Whether the set contains the empty clause.
-    pub fn contains_empty(&self) -> bool {
-        self.clauses.iter().any(|c| c.is_empty())
-    }
-
     /// All atoms mentioned.
     pub fn atoms(&self) -> BTreeSet<Atom> {
         self.clauses
@@ -469,7 +464,7 @@ mod tests {
     #[test]
     fn cnf_of_true_and_false() {
         assert!(parse("T").unwrap().to_cnf().is_empty());
-        assert!(parse("F").unwrap().to_cnf().contains_empty());
+        assert!(parse("F").unwrap().to_cnf().clauses().any(Clause::is_empty));
     }
 
     #[test]

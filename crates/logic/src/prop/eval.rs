@@ -34,11 +34,6 @@ impl Valuation {
         self.map.get(atom).copied()
     }
 
-    /// True atoms in this valuation, in sorted order.
-    pub fn true_atoms(&self) -> impl Iterator<Item = &Atom> {
-        self.map.iter().filter(|(_, v)| **v).map(|(a, _)| a)
-    }
-
     /// Number of atoms explicitly assigned.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -257,16 +252,5 @@ mod tests {
         let err = truth_table(&wide).unwrap_err();
         assert!(err.to_string().contains("25"));
         assert!(err.to_string().contains("24"));
-    }
-
-    #[test]
-    fn valuation_true_atoms_sorted() {
-        let v = Valuation::new()
-            .with("z", true)
-            .with("a", true)
-            .with("m", false);
-        let names: Vec<_> = v.true_atoms().map(|a| a.name().to_string()).collect();
-        assert_eq!(names, vec!["a", "z"]);
-        assert_eq!(v.len(), 3);
     }
 }

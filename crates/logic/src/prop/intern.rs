@@ -21,6 +21,20 @@ use std::ops::Not;
 pub struct Var(pub(crate) u32);
 
 impl Var {
+    /// The variable with dense index `index`, for solvers outside this
+    /// crate that allocate their own variables.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit a packed literal (`index ≥ 2^31`).
+    pub fn from_index(index: u32) -> Self {
+        assert!(
+            index <= u32::MAX >> 1,
+            "variable index fits in a packed literal (2^31)"
+        );
+        Var(index)
+    }
+
     /// The dense index.
     pub fn index(self) -> usize {
         self.0 as usize

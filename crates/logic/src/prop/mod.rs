@@ -25,10 +25,10 @@
 //! compile a [`solver::Theory`] once and issue many
 //! `assume`/`check`/`retract` queries against it — and because
 //! assumptions enter the CDCL search as decisions, everything learned
-//! answering one query speeds up the next. Two older engines survive
-//! for differential testing and benchmarking: the seed's recursive
-//! solver in [`legacy`], and the PR 2 chronological watched-literal
-//! DPLL as [`solver::dpll::DpllSolver`].
+//! answering one query speeds up the next. The two older engines, the
+//! seed's recursive solver and the chronological watched-literal DPLL
+//! that preceded CDCL, are differential oracles outside the product API:
+//! `casekit_oracle::legacy` and `casekit_oracle::DpllSolver`.
 
 mod ast;
 mod cnf;
@@ -45,5 +45,5 @@ pub use eval::{truth_table, TruthTable, Valuation};
 pub use intern::{AtomTable, Lit, Var};
 pub use parser::parse;
 pub use resolution::{resolution_entails, resolution_refute, ResolutionOutcome};
-pub use sat::{all_models, dpll, dpll_clauses, legacy, SatResult};
-pub use solver::{DpllSolver, Solver, SolverStats, Theory};
+pub use sat::{dpll, dpll_clauses, SatResult};
+pub use solver::{Solver, SolverStats, Theory};

@@ -21,13 +21,6 @@ pub enum ResolutionOutcome {
     BudgetExhausted,
 }
 
-impl ResolutionOutcome {
-    /// Whether a refutation was found.
-    pub fn is_refuted(&self) -> bool {
-        matches!(self, ResolutionOutcome::Refuted(_))
-    }
-}
-
 /// Attempts to refute `cs` by saturation, generating at most `budget`
 /// resolvents.
 pub fn resolution_refute(cs: &ClauseSet, budget: usize) -> ResolutionOutcome {
@@ -111,7 +104,10 @@ mod tests {
     #[test]
     fn refutes_direct_contradiction() {
         let cs = parse("p & ~p").unwrap().to_cnf();
-        assert!(resolution_refute(&cs, 1000).is_refuted());
+        assert!(matches!(
+            resolution_refute(&cs, 1000),
+            ResolutionOutcome::Refuted(_)
+        ));
     }
 
     #[test]

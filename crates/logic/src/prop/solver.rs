@@ -4,11 +4,11 @@
 //! garbage collection), and incremental assume/check/retract sessions.
 //!
 //! This is the engine behind every entailment query in the workspace.
-//! The legacy path (kept as [`super::legacy`]) re-derives a
+//! The seed path (now the oracle `casekit_oracle::legacy`) re-derives a
 //! `BTreeSet<Literal>` clause set and recursively solves it per query;
-//! the PR 2 chronological DPLL it replaced survives as
-//! [`dpll::DpllSolver`] (the differential-testing baseline). The
-//! [`Solver`] here keeps one flat clause database and answers many
+//! the chronological DPLL it replaced is the oracle
+//! `casekit_oracle::DpllSolver` (the differential-testing baseline).
+//! The [`Solver`] here keeps one flat clause database and answers many
 //! queries against it, learning across conflicts *and across checks*:
 //!
 //! * **two watched literals** — each clause is indexed by two of its
@@ -60,7 +60,6 @@
 //! [`AtomTable`], and bridges models back to [`Valuation`]s.
 
 pub mod analyze;
-pub mod dpll;
 pub mod vsids;
 
 use super::ast::{Atom, Formula};
@@ -69,8 +68,6 @@ use super::eval::Valuation;
 use super::intern::{AtomTable, Lit, Var};
 use analyze::{Analyzer, ImplicationGraph};
 use vsids::Vsids;
-
-pub use dpll::DpllSolver;
 
 /// Reason sentinel: the variable was a decision (or an assumption, or a
 /// root fact with no surviving reason).
@@ -177,7 +174,8 @@ pub struct Solver {
     learned_live: usize,
     /// Non-learned clause count (for the GC budget formula).
     problem_count: usize,
-    /// Caller override for the learned-clause budget.
+    /// Override for the learned-clause budget; tests set a tiny one to
+    /// exercise collection.
     budget_override: Option<usize>,
     /// Live learned count right after the last GC pass — a GC only
     /// re-arms once new clauses have been learned past it, so a pass
@@ -333,13 +331,6 @@ impl Solver {
     /// Cumulative search counters.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// Overrides the learned-clause budget (GC triggers above it). The
-    /// default scales with the problem size; tests use a small budget
-    /// to exercise collection.
-    pub fn set_learned_budget(&mut self, budget: usize) {
-        self.budget_override = Some(budget.max(1));
     }
 
     fn learned_budget(&self) -> usize {
@@ -1013,13 +1004,6 @@ impl Theory {
         self.solver.assume(lit);
     }
 
-    /// Compiles `formula` and assumes its literal, returning it.
-    pub fn assume_formula(&mut self, formula: &Formula) -> Lit {
-        let lit = self.formula_lit(formula);
-        self.solver.assume(lit);
-        lit
-    }
-
     /// Pops the most recent assumption.
     pub fn retract(&mut self) -> Option<Lit> {
         self.solver.retract()
@@ -1351,7 +1335,7 @@ mod tests {
         // With a budget of 2 the learned store is collected over and
         // over; verdicts must never change.
         let mut s = Solver::new();
-        s.set_learned_budget(2);
+        s.budget_override = Some(2);
         let r = s.new_var();
         let at: Vec<Vec<Var>> = (0..5)
             .map(|_| (0..4).map(|_| s.new_var()).collect())
@@ -1386,52 +1370,6 @@ mod tests {
     }
 
     #[test]
-    fn solver_agrees_with_dpll_baseline_on_scripted_sessions() {
-        // Same clause database, same assumption script, both engines.
-        let clauses: Vec<Vec<(u32, bool)>> = vec![
-            vec![(0, true), (1, true), (2, false)],
-            vec![(0, false), (3, true)],
-            vec![(3, false), (4, true)],
-            vec![(1, false), (4, false)],
-            vec![(2, true), (5, true)],
-            vec![(4, true), (5, false), (6, true)],
-            vec![(6, false), (7, true)],
-            vec![(7, false), (0, true), (5, true)],
-        ];
-        let mut cdcl = Solver::new();
-        let mut base = DpllSolver::new();
-        let cv: Vec<Var> = (0..8).map(|_| cdcl.new_var()).collect();
-        let bv: Vec<Var> = (0..8).map(|_| base.new_var()).collect();
-        for c in &clauses {
-            let cc: Vec<Lit> = c.iter().map(|&(v, pos)| cv[v as usize].lit(pos)).collect();
-            let bc: Vec<Lit> = c.iter().map(|&(v, pos)| bv[v as usize].lit(pos)).collect();
-            cdcl.add_clause(&cc);
-            base.add_clause(&bc);
-        }
-        let script: Vec<Vec<(u32, bool)>> = vec![
-            vec![],
-            vec![(0, true)],
-            vec![(0, true), (4, false)],
-            vec![(1, true), (5, false)],
-            vec![(2, false), (6, true), (7, false)],
-            vec![(3, true), (4, true), (1, true)],
-        ];
-        for assumptions in &script {
-            for &(v, pos) in assumptions {
-                cdcl.assume(cv[v as usize].lit(pos));
-                base.assume(bv[v as usize].lit(pos));
-            }
-            assert_eq!(
-                cdcl.check(),
-                base.check(),
-                "engines disagree under {assumptions:?}"
-            );
-            cdcl.retract_all();
-            base.retract_all();
-        }
-    }
-
-    #[test]
     fn luby_sequence_prefix() {
         let prefix: Vec<u64> = (0..15).map(luby).collect();
         assert_eq!(prefix, vec![1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]);
@@ -1454,8 +1392,10 @@ mod tests {
         let f = parse("p & q").unwrap();
         let lit = th.formula_lit(&f);
         th.assume(!lit);
-        th.assume_formula(&parse("p").unwrap());
-        th.assume_formula(&parse("q").unwrap());
+        let p = th.formula_lit(&parse("p").unwrap());
+        th.assume(p);
+        let q = th.formula_lit(&parse("q").unwrap());
+        th.assume(q);
         assert!(!th.check());
         th.retract_all();
         th.assume(!lit);

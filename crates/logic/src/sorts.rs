@@ -56,16 +56,6 @@ impl SortRegistry {
         self.constants.insert(name.into(), sort.into());
     }
 
-    /// The declared sort of a constant, if any.
-    pub fn constant_sort(&self, name: &str) -> Option<&Sort> {
-        self.constants.get(name)
-    }
-
-    /// The declared signature of a predicate, if any.
-    pub fn predicate_signature(&self, name: &str) -> Option<&[Sort]> {
-        self.predicates.get(name).map(Vec::as_slice)
-    }
-
     /// Checks every clause of `kb` against the declared signatures.
     ///
     /// Within each clause, variables must be used at a single sort.
@@ -425,16 +415,5 @@ mod tests {
             !conflicts.contains_key("bank"),
             "linked inference should (instructively) miss `bank`"
         );
-    }
-
-    #[test]
-    fn getters_round_trip() {
-        let mut reg = SortRegistry::new();
-        reg.declare_predicate("p", ["A", "B"]);
-        reg.declare_constant("c", "A");
-        assert_eq!(reg.predicate_signature("p").unwrap(), ["A", "B"]);
-        assert_eq!(reg.constant_sort("c").unwrap(), "A");
-        assert!(reg.predicate_signature("q").is_none());
-        assert!(reg.constant_sort("d").is_none());
     }
 }

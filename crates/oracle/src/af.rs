@@ -1,6 +1,6 @@
 //! The seed's exponential extension enumerator, preserved as the
 //! differential-testing oracle and the measured baseline for the SAT
-//! path ([`super::encode`]).
+//! path (`casekit_logic::af::encode`).
 //!
 //! Every function here walks all `2^n` argument subsets, so everything
 //! is capped at [`ENUMERATION_LIMIT`] arguments and returns
@@ -10,8 +10,8 @@
 //! independent implementation of the same semantics, which is exactly
 //! what the cross-checking proptests and `repro af` need.
 
-use super::{ArgId, Framework};
-use crate::error::LogicError;
+use casekit_logic::af::{ArgId, Framework};
+use casekit_logic::LogicError;
 use std::collections::BTreeSet;
 
 /// Largest argument count the subset enumerator accepts.
@@ -101,7 +101,7 @@ pub fn credulously_accepted(af: &Framework, id: ArgId) -> Result<bool, LogicErro
 /// The seed's grounded fixpoint: re-runs [`Framework::defends`] (a full
 /// attack-relation scan per attacker) over every argument in every
 /// pass — `O(n · |attacks| · passes)`. Kept as the measured baseline
-/// for the CSR worklist in [`Adjacency::grounded`](super::Adjacency);
+/// for the CSR worklist behind [`Framework::grounded_extension`];
 /// unlike the extension enumerators it is merely slow, not exponential,
 /// so it takes no size cap.
 pub fn grounded_extension(af: &Framework) -> BTreeSet<ArgId> {
@@ -120,6 +120,7 @@ pub fn grounded_extension(af: &Framework) -> BTreeSet<ArgId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casekit_logic::af::encode::AfSat;
 
     fn set(ids: &[ArgId]) -> BTreeSet<ArgId> {
         ids.iter().copied().collect()
@@ -185,5 +186,88 @@ mod tests {
         }
         assert!(stable_extensions(&af).unwrap().is_empty());
         assert_eq!(preferred_extensions(&af).unwrap(), vec![BTreeSet::new()]);
+    }
+
+    fn framework(n: usize, attacks: &[(ArgId, ArgId)]) -> Framework {
+        let mut af = Framework::new();
+        for i in 0..n {
+            af.add_argument(format!("a{i}"));
+        }
+        for &(a, t) in attacks {
+            af.add_attack(a, t).unwrap();
+        }
+        af
+    }
+
+    fn as_set(extensions: Vec<BTreeSet<ArgId>>) -> BTreeSet<BTreeSet<ArgId>> {
+        extensions.into_iter().collect()
+    }
+
+    #[test]
+    fn agrees_with_the_enumerator_on_hand_picked_shapes() {
+        let shapes: Vec<(usize, Vec<(ArgId, ArgId)>)> = vec![
+            (1, vec![]),
+            (1, vec![(0, 0)]),
+            (2, vec![(0, 1), (1, 0)]),
+            (3, vec![(0, 1), (1, 0), (0, 2), (1, 2)]),
+            (3, vec![(0, 1), (1, 2), (2, 0)]),
+            (4, vec![(0, 1), (1, 0), (2, 3), (3, 2)]),
+            (5, vec![(1, 0), (2, 1), (3, 2), (4, 3), (0, 4)]),
+            (
+                6,
+                vec![(0, 1), (1, 0), (1, 2), (2, 3), (3, 4), (4, 5), (5, 3)],
+            ),
+        ];
+        for (n, attacks) in shapes {
+            let af = framework(n, &attacks);
+            let mut sat = AfSat::complete(&af);
+            assert_eq!(
+                as_set(sat.extensions(None)),
+                as_set(complete_extensions(&af).unwrap()),
+                "complete disagrees on {attacks:?}"
+            );
+            assert_eq!(
+                as_set(sat.preferred()),
+                as_set(preferred_extensions(&af).unwrap()),
+                "preferred disagrees on {attacks:?}"
+            );
+            assert_eq!(
+                as_set(AfSat::stable(&af).extensions(None)),
+                as_set(stable_extensions(&af).unwrap()),
+                "stable disagrees on {attacks:?}"
+            );
+            for id in 0..n {
+                assert_eq!(
+                    sat.credulous(id),
+                    credulously_accepted(&af, id).unwrap(),
+                    "credulous disagrees on {attacks:?} id {id}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn grounded_matches_naive_fixpoint_on_assorted_shapes() {
+        let shapes: Vec<Vec<(ArgId, ArgId)>> = vec![
+            vec![],
+            vec![(0, 0)],
+            vec![(0, 1), (1, 0)],
+            vec![(1, 0), (2, 1), (3, 2), (4, 3)],
+            vec![(0, 1), (1, 2), (2, 0)],
+            vec![(1, 0), (2, 0), (3, 1), (3, 2), (4, 4)],
+        ];
+        for attacks in shapes {
+            let n = attacks
+                .iter()
+                .flat_map(|&(a, t)| [a, t])
+                .max()
+                .map_or(1, |m| m + 1);
+            let af = framework(n, &attacks);
+            assert_eq!(
+                af.grounded_extension(),
+                grounded_extension(&af),
+                "grounded engines disagree on {af:?}"
+            );
+        }
     }
 }

@@ -1,19 +1,19 @@
-//! The PR 2 iterative two-watched-literal DPLL, preserved verbatim as
-//! [`DpllSolver`] — the differential-testing oracle and measured
-//! baseline for the CDCL core that replaced it.
+//! The first interned solver, an iterative two-watched-literal DPLL,
+//! preserved verbatim as [`DpllSolver`] — the differential-testing
+//! oracle and measured baseline for the CDCL core that replaced it.
 //!
 //! This is chronological search: on conflict it flips the deepest
 //! untried decision and rescans, with no memory of *why* the conflict
-//! happened. The CDCL solver in the parent module learns a clause from
-//! every conflict and jumps straight back to the level where that
+//! happened. The CDCL `casekit_logic::prop::Solver` learns a clause
+//! from every conflict and jumps straight back to the level where that
 //! clause becomes unit; on instances with an unsatisfiable core buried
 //! under irrelevant decisions the difference is exponential (measured
 //! by the hard-instance population in `repro logic`). The API is
-//! intentionally identical to [`Solver`](super::Solver) — `new_var`,
-//! `add_clause`, `assume`/`check`/`retract`, `value`/`var_value` — so
-//! the property tests can drive both engines with the same script.
+//! intentionally identical to `Solver` — `new_var`, `add_clause`,
+//! `assume`/`check`/`retract`, `value`/`var_value` — so the property
+//! tests can drive both engines with the same script.
 
-use crate::prop::intern::{Lit, Var};
+use casekit_logic::prop::{Lit, Var};
 
 /// A backtracking point: one decision plus everything propagated from it.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +34,7 @@ struct Level {
 /// A typical session:
 ///
 /// ```
-/// use casekit_logic::prop::solver::dpll::DpllSolver;
+/// use casekit_oracle::DpllSolver;
 /// let mut s = DpllSolver::new();
 /// let p = s.new_var();
 /// let q = s.new_var();
@@ -93,7 +93,7 @@ impl DpllSolver {
             .ok()
             .filter(|i| *i <= u32::MAX >> 1)
             .expect("variable count fits in a packed literal (2^31)");
-        let v = Var(index);
+        let v = Var::from_index(index);
         self.assign.push(0);
         self.occurrence.push(0);
         self.watches.push(Vec::new());
@@ -254,7 +254,7 @@ impl DpllSolver {
     }
 
     fn rebuild_order(&mut self) {
-        self.order = (0..self.assign.len() as u32).map(Var).collect();
+        self.order = (0..self.assign.len() as u32).map(Var::from_index).collect();
         let occurrence = &self.occurrence;
         self.order
             .sort_by_key(|v| (std::cmp::Reverse(occurrence[v.index()]), v.index()));
@@ -366,6 +366,7 @@ impl DpllSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use casekit_logic::prop::Solver;
 
     #[test]
     fn empty_solver_is_sat() {
@@ -481,5 +482,51 @@ mod tests {
         assert_eq!(s.var_value(p), Some(true));
         s.add_clause(&[p.negative()]);
         assert!(!s.check());
+    }
+
+    #[test]
+    fn solver_agrees_with_dpll_baseline_on_scripted_sessions() {
+        // Same clause database, same assumption script, both engines.
+        let clauses: Vec<Vec<(u32, bool)>> = vec![
+            vec![(0, true), (1, true), (2, false)],
+            vec![(0, false), (3, true)],
+            vec![(3, false), (4, true)],
+            vec![(1, false), (4, false)],
+            vec![(2, true), (5, true)],
+            vec![(4, true), (5, false), (6, true)],
+            vec![(6, false), (7, true)],
+            vec![(7, false), (0, true), (5, true)],
+        ];
+        let mut cdcl = Solver::new();
+        let mut base = DpllSolver::new();
+        let cv: Vec<Var> = (0..8).map(|_| cdcl.new_var()).collect();
+        let bv: Vec<Var> = (0..8).map(|_| base.new_var()).collect();
+        for c in &clauses {
+            let cc: Vec<Lit> = c.iter().map(|&(v, pos)| cv[v as usize].lit(pos)).collect();
+            let bc: Vec<Lit> = c.iter().map(|&(v, pos)| bv[v as usize].lit(pos)).collect();
+            cdcl.add_clause(&cc);
+            base.add_clause(&bc);
+        }
+        let script: Vec<Vec<(u32, bool)>> = vec![
+            vec![],
+            vec![(0, true)],
+            vec![(0, true), (4, false)],
+            vec![(1, true), (5, false)],
+            vec![(2, false), (6, true), (7, false)],
+            vec![(3, true), (4, true), (1, true)],
+        ];
+        for assumptions in &script {
+            for &(v, pos) in assumptions {
+                cdcl.assume(cv[v as usize].lit(pos));
+                base.assume(bv[v as usize].lit(pos));
+            }
+            assert_eq!(
+                cdcl.check(),
+                base.check(),
+                "engines disagree under {assumptions:?}"
+            );
+            cdcl.retract_all();
+            base.retract_all();
+        }
     }
 }

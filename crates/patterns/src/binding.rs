@@ -34,22 +34,6 @@ pub enum ParamType {
 }
 
 impl ParamType {
-    /// Convenience: unrestricted integer.
-    pub fn int() -> Self {
-        ParamType::Int {
-            min: None,
-            max: None,
-        }
-    }
-
-    /// Convenience: integer in `min..=max`.
-    pub fn int_range(min: i64, max: i64) -> Self {
-        ParamType::Int {
-            min: Some(min),
-            max: Some(max),
-        }
-    }
-
     /// Convenience: enumeration.
     pub fn enumeration(
         name: impl Into<String>,
@@ -270,7 +254,10 @@ mod tests {
 
     #[test]
     fn int_range_checks() {
-        let ty = ParamType::int_range(0, 100);
+        let ty = ParamType::Int {
+            min: Some(0),
+            max: Some(100),
+        };
         assert!(type_check("u", &ParamValue::Int(50), &ty).is_ok());
         assert!(type_check("u", &ParamValue::Int(0), &ty).is_ok());
         assert!(type_check("u", &ParamValue::Int(100), &ty).is_ok());
@@ -307,7 +294,11 @@ mod tests {
     fn kind_mismatch_rejected() {
         let e = type_check("s", &ParamValue::Int(3), &ParamType::Str).unwrap_err();
         assert!(e.message.contains("does not have type"));
-        assert!(type_check("i", &"three".into(), &ParamType::int()).is_err());
+        let int = ParamType::Int {
+            min: None,
+            max: None,
+        };
+        assert!(type_check("i", &"three".into(), &int).is_err());
     }
 
     #[test]
@@ -344,8 +335,16 @@ mod tests {
 
     #[test]
     fn type_display() {
-        assert_eq!(ParamType::int().to_string(), "Int");
-        assert_eq!(ParamType::int_range(0, 9).to_string(), "Int[0..9]");
+        let int = ParamType::Int {
+            min: None,
+            max: None,
+        };
+        assert_eq!(int.to_string(), "Int");
+        let range = ParamType::Int {
+            min: Some(0),
+            max: Some(9),
+        };
+        assert_eq!(range.to_string(), "Int[0..9]");
         assert_eq!(ParamType::Percent.to_string(), "Percent");
         assert_eq!(
             ParamType::enumeration("element", ["a"]).to_string(),

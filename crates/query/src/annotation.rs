@@ -195,11 +195,6 @@ impl AnnotationStore {
         self.annotations.get(node).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All annotated nodes.
-    pub fn annotated_nodes(&self) -> impl Iterator<Item = &NodeId> {
-        self.annotations.keys()
-    }
-
     /// Total number of annotation instances.
     pub fn len(&self) -> usize {
         self.annotations.values().map(Vec::len).sum()
@@ -259,7 +254,6 @@ mod tests {
         );
         assert_eq!(store.len(), 1);
         assert!(!store.is_empty());
-        assert_eq!(store.annotated_nodes().count(), 1);
     }
 
     #[test]

@@ -55,19 +55,9 @@ impl Ontology {
         );
     }
 
-    /// The values of an enumeration, if declared.
-    pub fn enum_values(&self, name: &str) -> Option<&[String]> {
-        self.enums.get(name).map(Vec::as_slice)
-    }
-
     /// The schema of an attribute, if declared.
     pub fn attribute_schema(&self, name: &str) -> Option<&[(String, FieldType)]> {
         self.attributes.get(name).map(Vec::as_slice)
-    }
-
-    /// The declared attribute names.
-    pub fn attribute_names(&self) -> impl Iterator<Item = &str> {
-        self.attributes.keys().map(String::as_str)
     }
 
     /// Whether `value` is valid for `ty`.
@@ -96,12 +86,12 @@ mod tests {
         let mut o = Ontology::new();
         o.declare_enum("element", ["aileron", "elevator", "flaps"]);
         o.declare_attribute("verifies", [("element", FieldType::Enum("element".into()))]);
-        assert_eq!(o.enum_values("element").unwrap().len(), 3);
-        assert!(o.enum_values("missing").is_none());
+        let element = FieldType::Enum("element".into());
+        for value in ["aileron", "elevator", "flaps"] {
+            assert!(o.field_ok(&element, &FieldValue::Str(value.into())));
+        }
         assert_eq!(o.attribute_schema("verifies").unwrap().len(), 1);
         assert!(o.attribute_schema("missing").is_none());
-        let names: Vec<_> = o.attribute_names().collect();
-        assert_eq!(names, vec!["verifies"]);
     }
 
     #[test]
@@ -132,6 +122,9 @@ mod tests {
         let mut o = Ontology::new();
         o.declare_enum("e", ["a"]);
         o.declare_enum("e", ["b", "c"]);
-        assert_eq!(o.enum_values("e").unwrap(), ["b", "c"]);
+        let e = FieldType::Enum("e".into());
+        assert!(!o.field_ok(&e, &FieldValue::Str("a".into())));
+        assert!(o.field_ok(&e, &FieldValue::Str("b".into())));
+        assert!(o.field_ok(&e, &FieldValue::Str("c".into())));
     }
 }

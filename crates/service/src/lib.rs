@@ -178,11 +178,6 @@ impl CaseService {
         self.sessions.get(case)
     }
 
-    /// Mutable access to the session for `case`, if open.
-    pub fn session_mut(&mut self, case: usize) -> Option<&mut CaseSession> {
-        self.sessions.get_mut(case)
-    }
-
     /// Every open session, for callers that shard their own traffic
     /// across a [`Runtime`].
     pub fn sessions_mut(&mut self) -> &mut [CaseSession] {
@@ -473,7 +468,7 @@ mod tests {
         let mut service = CaseService::new();
         let case = service.open(mp_case());
         let before = service.answers(case).unwrap();
-        service.session_mut(case).unwrap().compact();
+        service.sessions_mut()[case].compact();
         assert_eq!(service.answers(case).unwrap(), before);
         assert_agrees(&mut service, case);
     }

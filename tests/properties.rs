@@ -223,10 +223,10 @@ fn wide_formula_strategy() -> impl Strategy<Value = Formula> {
 }
 
 /// Decides satisfiability of `f` on the chronological DPLL baseline:
-/// Tseitin clauses interned by hand into a [`prop::DpllSolver`].
+/// Tseitin clauses interned by hand into a [`casekit_oracle::DpllSolver`].
 fn dpll_baseline_is_sat(f: &Formula) -> bool {
     let cs = f.to_cnf_tseitin();
-    let mut solver = prop::DpllSolver::new();
+    let mut solver = casekit_oracle::DpllSolver::new();
     let mut atoms = prop::AtomTable::new();
     let mut clause: Vec<prop::Lit> = Vec::new();
     for c in cs.clauses() {
@@ -252,7 +252,7 @@ proptest! {
         // Chronological watched-literal DPLL baseline.
         prop_assert_eq!(dpll_baseline_is_sat(&f), brute, "DPLL baseline vs truth table");
         // Legacy recursive DPLL oracle.
-        prop_assert_eq!(prop::legacy::dpll(&f).is_sat(), brute, "legacy oracle vs truth table");
+        prop_assert_eq!(casekit_oracle::legacy::dpll(&f).is_sat(), brute, "legacy oracle vs truth table");
         // Resolution refutation over the equisatisfiable Tseitin CNF.
         // Saturation is quadratic per round, so keep it to the small
         // instances and skip when the budget runs out — agreement is
@@ -318,7 +318,7 @@ proptest! {
         // from each round into the next; every verdict must still match
         // the memoryless chronological baseline.
         let mut cdcl = prop::Solver::new();
-        let mut base = prop::DpllSolver::new();
+        let mut base = casekit_oracle::DpllSolver::new();
         let cv: Vec<prop::Var> = (0..10).map(|_| cdcl.new_var()).collect();
         let bv: Vec<prop::Var> = (0..10).map(|_| base.new_var()).collect();
         for clause in &clauses {
@@ -886,7 +886,7 @@ mod fol_props {
                 let goal = parse_query(query).expect("static query");
                 prop_assert_eq!(
                     kb.solve_with(&goal, CONFIG),
-                    kb.solve_seed_with(&goal, CONFIG),
+                    casekit_oracle::fol::solve_with(&kb, &goal, CONFIG),
                     "query {}", query
                 );
             }
@@ -992,14 +992,18 @@ mod ltl_props {
         ) {
             // Identical verdicts AND identical counterexample lassos:
             // the CSR plane visits candidates in the oracle's order.
-            prop_assert_eq!(k.check_bounded(&f, 6), k.check_bounded_naive(&f, 6));
+            prop_assert_eq!(
+                k.check_bounded(&f, 6),
+                casekit_oracle::ltl::check_bounded(&k, &f, 6)
+            );
         }
     }
 }
 
 mod af_props {
     use casekit::logic::af::scc::Decomposed;
-    use casekit::logic::af::{naive, ArgId, Framework};
+    use casekit::logic::af::{ArgId, Framework};
+    use casekit_oracle::af as naive;
     use proptest::prelude::*;
     use std::collections::BTreeSet;
 
