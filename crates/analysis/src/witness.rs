@@ -3,10 +3,12 @@
 //! Most solver questions the lint passes ask are *satisfiability*
 //! questions whose expected answer is SAT: "are the premises
 //! consistent?", "is the conclusion falsifiable?", "does the argument
-//! survive dropping premise `i`?". A CDCL call answers each in tens of
-//! microseconds — but a model found for one question very often
-//! answers several of the others outright, because a single total
-//! assignment can simultaneously witness many assumption sets.
+//! survive dropping premise `i`?". A CDCL call answers each in 10 to
+//! 35 µs on a light case (five premise chains of width 16, 248
+//! variables; release build on a 2-vCPU x86-64 host) — but a model
+//! found for one question very often answers several of the others
+//! outright, because a single total assignment can simultaneously
+//! witness many assumption sets.
 //!
 //! [`WitnessPool`] exploits that: every satisfiable solver call stores
 //! its full model ([`Theory::witness_under`]), and every later check

@@ -34,7 +34,9 @@
 //! last round as `BENCH_*.smoke.json`, and exits 1 if any check fails.
 //! It takes no options; the floors are constants in that module.
 //!
-//! With no artefact argument, prints everything.
+//! With no argument (or `all`), prints the ten paper artefacts,
+//! `table1` through `exp-e`: the same bytes on every run. The benchmark
+//! arms run only by name.
 
 use casekit_bench::gate::{self, Report};
 use casekit_bench::{self as bench, write_artifact};

@@ -232,12 +232,11 @@ pub fn experiments_bench_workers() -> usize {
     Runtime::pinned_from_env().unwrap_or_else(Runtime::host_parallelism)
 }
 
-/// Every artefact, concatenated (the `repro all` output). The
-/// benchmark sections run at full scale, except that the AF section
-/// stops its decomposed scenarios at 2k arguments; each `repro
-/// <artefact>` also writes its `BENCH_*.json`.
+/// The ten paper artefacts, concatenated: the output of `repro` with
+/// no argument (or `repro all`). Every section is deterministic, so two
+/// calls render the same bytes. The benchmark arms are not included;
+/// each runs by name (`repro graph`, …) and writes its `BENCH_*.json`.
 pub fn all() -> String {
-    let workers = experiments_bench_workers();
     let mut out = String::new();
     for section in [
         table_i(),
@@ -250,25 +249,6 @@ pub fn all() -> String {
         experiment_c(),
         experiment_d(),
         experiment_e(),
-        graph::render_report(&graph::run_graph_bench(10_000)),
-        logic::render_report(&logic::run_logic_bench(120, &logic::hard_population_full())),
-        af::render_report(&af::run_af_bench(
-            12,
-            6,
-            300,
-            &[12, 50, 200, 1000],
-            &[2_000],
-            2_000,
-        )),
-        fol::render_report(&fol::run_fol_bench(&[200, 400, 800], 30_000)),
-        ltl::render_report(&ltl::run_ltl_bench(
-            &[(10, 30, 10), (12, 36, 11)],
-            (14, 42, 12),
-        )),
-        experiments::render_report(&experiments::run_experiments_bench(workers)),
-        lint::render_report(&lint::run_lint_bench(workers)),
-        service::render_report(&service::run_service_bench(workers)),
-        dsl::render_report(&dsl::run_dsl_bench(workers)),
     ] {
         out.push_str(&section);
         out.push('\n');
@@ -307,6 +287,13 @@ mod tests {
         let g = greenwell_table();
         assert!(g.contains("16"), "{g}");
         assert!(g.contains("45"), "{g}");
+    }
+
+    #[test]
+    fn all_renders_the_same_bytes_twice() {
+        let first = all();
+        assert!(first.contains("Experiment E"), "{first}");
+        assert_eq!(first, all());
     }
 
     #[test]

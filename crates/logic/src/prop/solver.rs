@@ -50,7 +50,11 @@
 //! its reason, and the reasons form the implication graph. Propagation
 //! maintains the watched-literal invariant: a watched literal is only
 //! false while the clause's other watch is true, or the clause has
-//! been visited and found unit/conflicting. Garbage collection runs
+//! been visited and found unit/conflicting. The VSIDS heap holds every
+//! unassigned variable and may also hold assigned ones: a decision
+//! pops past them to the first unassigned variable, and a SAT answer,
+//! declared once the trail holds every variable, leaves them in place
+//! rather than draining the heap. Garbage collection runs
 //! only at level 0, where it may also strip root-false literals and
 //! drop root-satisfied clauses (sound: root facts are consequences of
 //! the database), then rebuilds every watch list.
@@ -148,6 +152,8 @@ pub struct Solver {
     /// Unit clauses (caller-added and learned), re-asserted at the
     /// start of every check.
     units: Vec<Lit>,
+    /// Scratch [`Solver::add_clause`] normalises each clause in.
+    clause_buf: Vec<Lit>,
     /// Whether the database is known unsatisfiable (empty clause added
     /// or derived).
     empty_clause: bool,
@@ -260,6 +266,7 @@ impl Default for Solver {
             headers: Vec::new(),
             watches: Vec::new(),
             units: Vec::new(),
+            clause_buf: Vec::new(),
             empty_clause: false,
             assign: Vec::new(),
             level: Vec::new(),
@@ -358,20 +365,22 @@ impl Solver {
         self.unwind_all();
         // Normalise: sort by code, drop duplicates, detect tautology
         // (complementary literals are adjacent codes after sorting).
-        let mut clause: Vec<Lit> = lits.to_vec();
+        let mut clause = std::mem::take(&mut self.clause_buf);
+        clause.clear();
+        clause.extend_from_slice(lits);
         clause.sort_unstable_by_key(|l| l.code());
         clause.dedup();
-        if clause.windows(2).any(|w| w[0] == !w[1]) {
-            return;
-        }
-        match clause.len() {
-            0 => self.empty_clause = true,
-            1 => self.units.push(clause[0]),
-            _ => {
-                self.store_clause(&clause, false, 0);
-                self.problem_count += 1;
+        if !clause.windows(2).any(|w| w[0] == !w[1]) {
+            match clause.len() {
+                0 => self.empty_clause = true,
+                1 => self.units.push(clause[0]),
+                _ => {
+                    self.store_clause(&clause, false, 0);
+                    self.problem_count += 1;
+                }
             }
         }
+        self.clause_buf = clause;
     }
 
     /// Appends a clause to the arena, watching its first two literals.
@@ -419,7 +428,8 @@ impl Solver {
 
     /// Decides satisfiability of the clause database under the current
     /// assumptions. On `true`, a model is readable via
-    /// [`Solver::value`] until the next mutation.
+    /// [`Solver::value`] until the next mutation: SAT is declared once
+    /// the trail holds every variable, so the model is total.
     ///
     /// Clauses learned while answering one check persist into the next:
     /// assumptions enter the search as decisions, so every learned
@@ -685,6 +695,7 @@ impl Solver {
             self.learned_live += 1;
             self.enqueue(analysis.learned[0], ci);
         }
+        self.analyzer.recycle(analysis);
     }
 
     fn bump_reason_clauses(&mut self, touched: &[Var], current_level: u32) {
@@ -731,16 +742,21 @@ impl Solver {
                 }
             }
         }
+        // Every variable is on the trail: a model. Assigned variables
+        // left in the heap are dropped when a later pop reaches them.
+        if self.trail.len() == self.num_vars() {
+            return Decide::Sat;
+        }
         loop {
-            match self.vsids.pop() {
-                None => return Decide::Sat,
-                Some(v) if self.assign[v.index()] != 0 => continue,
-                Some(v) => {
-                    self.stats.decisions += 1;
-                    self.trail_lim.push(self.trail.len());
-                    self.enqueue(v.lit(self.vsids.phase(v)), NO_REASON);
-                    return Decide::Decided;
-                }
+            let v = self
+                .vsids
+                .pop()
+                .expect("every unassigned variable is enqueued");
+            if self.assign[v.index()] == 0 {
+                self.stats.decisions += 1;
+                self.trail_lim.push(self.trail.len());
+                self.enqueue(v.lit(self.vsids.phase(v)), NO_REASON);
+                return Decide::Decided;
             }
         }
     }
@@ -1061,10 +1077,8 @@ impl Theory {
 
     /// Like [`Theory::check_under`], but on satisfiability returns the
     /// complete variable assignment as a dense vector indexed by
-    /// [`Var::index`] (variables the search left unassigned read as
-    /// `false`, which keeps the vector a model: a SAT answer with
-    /// unassigned variables means every clause over them is already
-    /// satisfied).
+    /// [`Var::index`]: a SAT answer assigns every variable, so the
+    /// vector is the model itself.
     ///
     /// Witness-reusing probe engines (CaseLint's logical passes) store
     /// these vectors and answer later satisfiability questions by
@@ -1080,9 +1094,7 @@ impl Theory {
         assumptions: I,
     ) -> Option<Vec<bool>> {
         self.answer_under(assumptions, |theory| {
-            (0..theory.solver.num_vars())
-                .map(|i| theory.solver.var_value(Var(i as u32)) == Some(true))
-                .collect()
+            theory.solver.assign.iter().map(|&a| a > 0).collect()
         })
     }
 
@@ -1277,6 +1289,63 @@ mod tests {
                 c.iter().any(|&l| s.value(l) == Some(true)),
                 "model falsifies a clause"
             );
+        }
+    }
+
+    #[test]
+    fn sat_by_propagation_alone_is_total_and_the_session_goes_on() {
+        // x0 -> x1 -> … -> x9, and x9 -> ~y: assuming x0 forces every
+        // variable, so the check answers SAT with the heap untouched.
+        fn build() -> (Solver, Vec<Var>, Vec<Vec<Lit>>) {
+            let mut s = Solver::new();
+            let x: Vec<Var> = (0..11).map(|_| s.new_var()).collect();
+            let mut clauses: Vec<Vec<Lit>> = x[..10]
+                .windows(2)
+                .map(|w| vec![w[0].negative(), w[1].positive()])
+                .collect();
+            clauses.push(vec![x[9].negative(), x[10].negative()]);
+            for c in &clauses {
+                s.add_clause(c);
+            }
+            (s, x, clauses)
+        }
+        let satisfies = |s: &Solver, clauses: &[Vec<Lit>]| {
+            clauses
+                .iter()
+                .all(|c| c.iter().any(|&l| s.value(l) == Some(true)))
+        };
+        let (mut s, x, clauses) = build();
+        s.assume(x[0].positive());
+        assert!(s.check());
+        assert_eq!(
+            s.stats().decisions,
+            1,
+            "the assumption is the only decision"
+        );
+        assert_eq!(s.trail.len(), s.num_vars(), "the model is total");
+        assert!(satisfies(&s, &clauses));
+        s.retract();
+        let questions: [&[Lit]; 6] = [
+            &[],
+            &[x[10].positive()],
+            &[x[10].positive(), x[0].positive()],
+            &[x[3].positive(), x[5].negative()],
+            &[x[9].negative()],
+            &[x[0].positive()],
+        ];
+        for question in questions {
+            let (mut fresh, _, _) = build();
+            for &lit in question {
+                s.assume(lit);
+                fresh.assume(lit);
+            }
+            let verdict = s.check();
+            assert_eq!(verdict, fresh.check(), "question {question:?}");
+            if verdict {
+                assert_eq!(s.trail.len(), s.num_vars());
+                assert!(satisfies(&s, &clauses), "question {question:?}");
+            }
+            s.retract_all();
         }
     }
 

@@ -77,16 +77,21 @@ pub struct Analysis {
     pub touched: Vec<Var>,
 }
 
-/// Reusable first-UIP analyzer. Owns the `seen`/`levels` scratch so
-/// those are allocated once per solver; each call still returns fresh
-/// `learned`/`touched` vectors (they outlive the call as part of
-/// [`Analysis`]).
+/// Reusable first-UIP analyzer. Owns its scratch: `seen` grows to
+/// cover each variable the first time a conflict reaches it, and the
+/// `learned`/`touched` vectors an [`Analysis`] carries out come back
+/// through [`Analyzer::recycle`], so a solver's conflicts stop
+/// allocating once the buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub struct Analyzer {
     /// Per variable: already counted into the pending resolution.
     seen: Vec<bool>,
     /// Scratch for the LBD computation.
     levels: Vec<u32>,
+    /// Spare `learned` buffer for the next analysis.
+    learned: Vec<Lit>,
+    /// Spare `touched` buffer for the next analysis.
+    touched: Vec<Var>,
 }
 
 impl Analyzer {
@@ -95,11 +100,10 @@ impl Analyzer {
         Self::default()
     }
 
-    /// Ensures the scratch covers `n` variables.
-    pub fn ensure_vars(&mut self, n: usize) {
-        if self.seen.len() < n {
-            self.seen.resize(n, false);
-        }
+    /// Takes back the buffers of a finished analysis for the next call.
+    pub fn recycle(&mut self, analysis: Analysis) {
+        self.learned = analysis.learned;
+        self.touched = analysis.touched;
     }
 
     /// Derives the first-UIP learned clause from `conflict` (a clause
@@ -122,12 +126,11 @@ impl Analyzer {
         conflict: &[Lit],
     ) -> Analysis {
         debug_assert!(current_level > 0, "level-0 conflicts refute the database");
-        // Every literal of the conflict and of every reason is assigned,
-        // so sizing the scratch by the trail's variables covers them all.
-        let needed = trail.iter().map(|l| l.var().index() + 1).max().unwrap_or(0);
-        self.ensure_vars(needed);
-        let mut learned: Vec<Lit> = vec![Lit(0)]; // slot 0: asserting literal
-        let mut touched: Vec<Var> = Vec::new();
+        let mut learned = std::mem::take(&mut self.learned);
+        learned.clear();
+        learned.push(Lit(0)); // slot 0: asserting literal
+        let mut touched = std::mem::take(&mut self.touched);
+        touched.clear();
         // Literals of the current level still awaiting resolution.
         let mut pending: u32 = 0;
         // The literal whose reason is being resolved in (None = start
@@ -148,6 +151,9 @@ impl Analyzer {
                     continue;
                 }
                 let v = q.var();
+                if self.seen.len() <= v.index() {
+                    self.seen.resize(v.index() + 1, false);
+                }
                 if self.seen[v.index()] || graph.level_of(v) == 0 {
                     continue;
                 }
@@ -160,10 +166,11 @@ impl Analyzer {
                 }
             }
             // Walk the trail backwards to the most recent contributing
-            // literal of the current level.
+            // literal of the current level (a variable past the end of
+            // `seen` was never marked).
             loop {
                 index -= 1;
-                if self.seen[trail[index].var().index()] {
+                if self.seen.get(trail[index].var().index()) == Some(&true) {
                     break;
                 }
             }
@@ -370,5 +377,9 @@ mod tests {
         let first = analyzer.analyze(&graph, &trail, 3, &conflict);
         let second = analyzer.analyze(&graph, &trail, 3, &conflict);
         assert_eq!(first, second, "scratch state must fully reset");
+        // Recycled buffers come back cleared of the previous clause.
+        analyzer.recycle(first);
+        let third = analyzer.analyze(&graph, &trail, 3, &conflict);
+        assert_eq!(third, second, "recycled buffers must fully reset");
     }
 }

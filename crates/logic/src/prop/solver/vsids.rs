@@ -133,10 +133,8 @@ impl Vsids {
         if self.position[v.index()] != ABSENT {
             return;
         }
-        let slot = self.heap.len();
         self.heap.push(v.0);
-        self.position[v.index()] = slot as u32;
-        self.sift_up(slot);
+        self.sift_up(self.heap.len() - 1);
     }
 
     /// Removes and returns the highest-activity enqueued variable.
@@ -146,7 +144,6 @@ impl Vsids {
         self.position[top as usize] = ABSENT;
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.position[last as usize] = 0;
             self.sift_down(0);
         }
         Some(Var(top))
@@ -164,39 +161,45 @@ impl Vsids {
         aa > ab || (aa == ab && a < b)
     }
 
+    /// Writes `v` into `slot` and records the slot.
+    fn place(&mut self, slot: usize, v: u32) {
+        self.heap[slot] = v;
+        self.position[v as usize] = slot as u32;
+    }
+
+    /// Moves the hole at `slot` up past every parent its variable
+    /// precedes, then writes the variable once.
     fn sift_up(&mut self, mut slot: usize) {
+        let v = self.heap[slot];
         while slot > 0 {
             let parent = (slot - 1) / 2;
-            if !self.precedes(self.heap[slot], self.heap[parent]) {
+            if !self.precedes(v, self.heap[parent]) {
                 break;
             }
-            self.swap_slots(slot, parent);
+            self.place(slot, self.heap[parent]);
             slot = parent;
         }
+        self.place(slot, v);
     }
 
+    /// Moves the hole at `slot` down past every better child that
+    /// precedes its variable, then writes the variable once.
     fn sift_down(&mut self, mut slot: usize) {
+        let v = self.heap[slot];
         loop {
             let (l, r) = (2 * slot + 1, 2 * slot + 2);
-            let mut best = slot;
-            if l < self.heap.len() && self.precedes(self.heap[l], self.heap[best]) {
-                best = l;
+            let child = if r < self.heap.len() && self.precedes(self.heap[r], self.heap[l]) {
+                r
+            } else {
+                l
+            };
+            if child >= self.heap.len() || !self.precedes(self.heap[child], v) {
+                break;
             }
-            if r < self.heap.len() && self.precedes(self.heap[r], self.heap[best]) {
-                best = r;
-            }
-            if best == slot {
-                return;
-            }
-            self.swap_slots(slot, best);
-            slot = best;
+            self.place(slot, self.heap[child]);
+            slot = child;
         }
-    }
-
-    fn swap_slots(&mut self, a: usize, b: usize) {
-        self.heap.swap(a, b);
-        self.position[self.heap[a] as usize] = a as u32;
-        self.position[self.heap[b] as usize] = b as u32;
+        self.place(slot, v);
     }
 }
 
@@ -278,6 +281,70 @@ mod tests {
         v.save_phase(Var(0), false);
         assert!(!v.phase(Var(0)));
         assert!(v.phase(Var(1)));
+    }
+
+    /// One SplitMix64 step: a dependency-free seeded schedule.
+    fn splitmix64(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn random_schedule_pops_the_brute_force_argmax() {
+        const VARS: usize = 300;
+        let mut state = 0x5eed_u64;
+        let mut v = Vsids::new();
+        // The reference: which variables are enqueued.
+        let mut enqueued: Vec<bool> = Vec::new();
+        let (mut pops, mut rescaled) = (0, false);
+        for _ in 0..24_000 {
+            let pick = splitmix64(&mut state);
+            let x = Var(((pick >> 8) % enqueued.len().max(1) as u64) as u32);
+            match pick % 8 {
+                0 if v.len() < VARS => {
+                    v.grow();
+                    enqueued.push(true);
+                }
+                _ if v.is_empty() => {}
+                1 | 2 => {
+                    let inc = v.inc;
+                    v.bump(x);
+                    rescaled |= v.inc < inc;
+                }
+                3 | 4 => v.decay(),
+                5 => {
+                    v.insert(x);
+                    enqueued[x.index()] = true;
+                }
+                _ => {
+                    // Highest activity first; the ascending scan keeps
+                    // the lower index on ties.
+                    let mut best: Option<Var> = None;
+                    for i in (0..enqueued.len()).filter(|&i| enqueued[i]) {
+                        let x = Var(i as u32);
+                        if best.is_none_or(|b| v.activity(x) > v.activity(b)) {
+                            best = Some(x);
+                        }
+                    }
+                    assert_eq!(v.pop(), best, "pop {pops}");
+                    if let Some(b) = best {
+                        enqueued[b.index()] = false;
+                    }
+                    pops += 1;
+                }
+            }
+        }
+        assert_eq!(v.len(), VARS);
+        assert!(
+            pops > 5_000 && rescaled,
+            "the schedule must pop and rescale"
+        );
+        for (i, &queued) in enqueued.iter().enumerate() {
+            assert_eq!(v.contains(Var(i as u32)), queued, "variable {i}");
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 # Developer entry points. `just check` is the full local gate;
 # `just ci` mirrors the GitHub workflow jobs exactly; `just perf
 # [workload] [seed]` runs one BENCHMARK.json workload end to end, then
-# traced for its per-layer split.
+# traced for its per-layer split; `just perf-pairs <parent> [workload]
+# [pairs]` runs alternating parent/change pairs of one workload.
 
 # Format, lint, test, regenerate every BENCH_*.json, run the smoke
 # bench gate, then the perfbench correctness smoke.
@@ -96,10 +97,20 @@ perf workload="ingest" seed="1":
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds 20 --trace 0
     cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- --workload {{workload}} --seed {{seed}} --seconds 20 --trace 1
 
+# Alternating parent/change pairs of one BENCHMARK.json workload at its
+# run length, seeds 1001 onwards, the first side flipping every pair:
+# prints each pair, then each end-to-end metric's parent median, change
+# median, ratio and the pairs the change won. Fails on any result line
+# that is not correct with zero failed ops.
+perf-pairs parent workload="session" pairs="10":
+    ./scripts/perf_pairs.sh {{parent}} {{workload}} {{pairs}}
+
 # Rustdoc for the workspace with warnings denied (the CI docs job).
 docs:
     RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
-# Regenerate every paper artifact.
+# Print the ten paper artifacts (table1 through exp-e); the output is
+# deterministic, so a diff against another build shows any change. The
+# benchmark arms run by name (`just bench-logic`, …).
 repro:
     cargo run --release -q -p casekit-bench --bin repro
