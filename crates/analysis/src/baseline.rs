@@ -14,7 +14,6 @@
 //! private, and moving it would make them product API.
 
 use crate::diagnostic::{Diagnostic, LintConfig, Sink};
-use crate::witness::WitnessPool;
 use crate::{logical, structural};
 use casekit_core::dsl::parse_argument;
 use casekit_core::semantics::{
@@ -23,7 +22,7 @@ use casekit_core::semantics::{
 };
 use casekit_core::Argument;
 use casekit_fallacies::formal;
-use casekit_logic::prop::Formula;
+use casekit_logic::prop::{Formula, WitnessPool};
 use casekit_logic::ParseError;
 
 /// One standalone tool: a single lint pass over a freshly obtained

@@ -67,11 +67,10 @@ mod diagnostic;
 mod logical;
 mod source;
 mod structural;
-mod witness;
 
+pub use casekit_logic::prop::WitnessPool;
 pub use diagnostic::{Diagnostic, Level, LintCode, LintConfig, LintDescriptor, PassKind, Severity};
 pub use source::{check_source, check_sources, check_syntax, excerpt, SourceAnalysis};
-pub use witness::WitnessPool;
 
 use casekit_core::dsl::parse_argument;
 use casekit_core::semantics::ArgumentTheory;
@@ -80,11 +79,12 @@ use casekit_logic::ParseError;
 use casekit_runtime::Runtime;
 
 /// Lints one argument: compiles its propositional payloads once, then
-/// runs every structural, logical, and fallacy pass. Diagnostics come
+/// runs every structural, logical, and fallacy pass, with every solver
+/// question asked through one fresh [`WitnessPool`]. Diagnostics come
 /// back in canonical order (code, then primary node id, then message).
 pub fn lint_argument(argument: &Argument, config: &LintConfig) -> Vec<Diagnostic> {
     let mut theory = ArgumentTheory::compile(argument);
-    lint_compiled(argument, &mut theory, config)
+    lint_compiled_with_pool(argument, &mut theory, &mut WitnessPool::new(), config)
 }
 
 /// Lints case text end to end: one parse, one compilation, every pass —
@@ -117,26 +117,14 @@ pub fn lint_sources(
 }
 
 /// [`lint_argument`] against an already-compiled session (fresh from
-/// [`ArgumentTheory::compile`], or a long-lived one).
-/// Passes retract every assumption they push, so one session serves
-/// any number of lint runs.
-pub fn lint_compiled(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    config: &LintConfig,
-) -> Vec<Diagnostic> {
-    let mut sink = diagnostic::Sink::new(config);
-    structural::run(argument, &mut sink);
-    logical::run_all(argument, theory, &mut sink);
-    sink.finish()
-}
-
-/// [`lint_compiled`] against a caller-owned [`WitnessPool`]. Long-lived
-/// sessions — the incremental `CaseService` — keep one pool per case so
-/// models found answering one revision's questions keep answering the
-/// next revision's (sound whenever the session's clause database only
-/// grows between calls). The pool is answer-invariant: warm or cold,
-/// diagnostics are byte-identical to [`lint_compiled`].
+/// [`ArgumentTheory::compile`], or a long-lived one) and a caller-owned
+/// [`WitnessPool`]. Passes retract every assumption they push, so one
+/// session serves any number of lint runs. Long-lived sessions — the
+/// incremental `CaseService` — keep one pool per case so models found
+/// answering one revision's questions keep answering the next
+/// revision's (sound whenever the session's clause database only grows
+/// between calls). The pool is answer-invariant: warm or cold, the
+/// diagnostics are byte-identical.
 pub fn lint_compiled_with_pool(
     argument: &Argument,
     theory: &mut ArgumentTheory,
@@ -145,7 +133,7 @@ pub fn lint_compiled_with_pool(
 ) -> Vec<Diagnostic> {
     let mut sink = diagnostic::Sink::new(config);
     structural::run(argument, &mut sink);
-    logical::run_all_with(argument, theory, pool, &mut sink);
+    logical::run_all(argument, theory, pool, &mut sink);
     sink.finish()
 }
 
@@ -336,6 +324,25 @@ mod tests {
             .collect();
         assert_eq!(redundant.len(), 1);
         assert_eq!(redundant[0].primary.as_ref().unwrap().as_str(), "g4");
+
+        // Defence in depth: each premise alone carries the conclusion,
+        // so each is idle and CK104 flags both — a designed false
+        // positive, since neither is a red herring.
+        let depth = case(
+            r#"argument "depth" {
+                goal g1 "q" formal "q" {
+                  goal g2 "direct" formal "q" { solution e1 "a" }
+                  goal g3 "derived" formal "p & (p -> q)" { solution e2 "b" }
+                }
+            }"#,
+        );
+        let diagnostics = lint_argument(&depth, &LintConfig::new());
+        let flagged: Vec<&str> = diagnostics
+            .iter()
+            .filter(|d| d.code == LintCode::RedundantPremise)
+            .map(|d| d.primary.as_ref().unwrap().as_str())
+            .collect();
+        assert_eq!(flagged, ["g2", "g3"]);
     }
 
     #[test]

@@ -2,41 +2,33 @@
 //! [`ArgumentTheory`] session, plus the re-routed formal/informal
 //! fallacy detectors.
 //!
-//! Every pass is written against `&mut ArgumentTheory` and is
-//! self-contained (it re-derives its own gating facts, e.g. premise
-//! consistency, with cheap assumption rounds) so the compile-once
-//! engine ([`crate::lint_compiled`]) and the recompile-per-lint
-//! baseline ([`crate::baseline::lint_argument_recompiling`]) can run
-//! the *same* pass bodies and differ only in how many Tseitin
-//! compilations they pay. Assumption rounds always retract fully
+//! Every pass is written against `&mut ArgumentTheory` and a
+//! [`WitnessPool`] and is self-contained (it re-derives its own gating
+//! facts, e.g. premise consistency, with cheap assumption rounds) so
+//! the compile-once engine ([`crate::lint_compiled_with_pool`]) and the
+//! recompile-per-lint baseline
+//! ([`crate::baseline::lint_argument_recompiling`]) can run the *same*
+//! pass bodies and differ only in how many Tseitin compilations they
+//! pay. Assumption rounds always retract fully
 //! ([`casekit_logic::prop::Theory::check_under`]), so passes compose in
 //! any order on one session.
 
 use crate::diagnostic::{LintCode, Sink};
-use crate::witness::WitnessPool;
 use casekit_core::semantics::ArgumentTheory;
 use casekit_core::{Argument, NodeId, NodeIdx};
 use casekit_fallacies::formal::Finding;
 use casekit_fallacies::taxonomy::FormalFallacy;
 use casekit_fallacies::{formal, informal};
-use casekit_logic::prop::Lit;
+use casekit_logic::prop::{Lit, WitnessPool};
 
-/// Runs every logical and fallacy pass against one shared session —
-/// and one shared [`WitnessPool`], so a model found answering one
-/// pass's satisfiability question gets reused by every later pass
-/// (the recompiling baseline starts a fresh pool per pass, because its
-/// per-tool sessions share nothing).
-pub(crate) fn run_all(argument: &Argument, theory: &mut ArgumentTheory, sink: &mut Sink<'_>) {
-    let mut pool = WitnessPool::new();
-    run_all_with(argument, theory, &mut pool, sink);
-}
-
-/// [`run_all`] against a caller-owned [`WitnessPool`] — the entry point
-/// for long-lived sessions (the incremental service) whose pool
-/// outlives any single lint run. Answer-invariant with respect to the
-/// pool's contents, so warm and cold pools produce byte-identical
-/// diagnostics.
-pub(crate) fn run_all_with(
+/// Runs every logical and fallacy pass against one shared session and
+/// one shared [`WitnessPool`], so a model found answering one pass's
+/// satisfiability question gets reused by every later pass (the
+/// recompiling baseline starts a fresh pool per pass, because its
+/// per-tool sessions share nothing). The pool may outlive the run — the
+/// incremental service keeps one per case — and warm or cold pools
+/// produce byte-identical diagnostics.
+pub(crate) fn run_all(
     argument: &Argument,
     theory: &mut ArgumentTheory,
     pool: &mut WitnessPool,
@@ -212,11 +204,13 @@ pub(crate) fn pass_entailment(
     );
 }
 
-/// CK104: Rushby-style drop-probes — assume every premise but one plus
-/// the negated conclusion; unsatisfiability means the dropped premise
-/// was never needed. Gated on a consistent, entailed premise set
-/// (inconsistent premises entail everything, which would mark every
-/// premise "redundant" while CK101/CK107 already name the real defect).
+/// CK104: the idle premises of Rushby's what-if probe
+/// ([`ArgumentTheory::probe`]) — premises the conclusion survives
+/// without. Gated on a consistent premise set (inconsistent premises
+/// entail everything, which would mark every premise "redundant" while
+/// CK101/CK107 already name the real defect); a probe that finds the
+/// conclusion not entailed reports nothing, since that is CK107's
+/// finding.
 pub(crate) fn pass_redundant_premises(
     argument: &Argument,
     theory: &mut ArgumentTheory,
@@ -224,9 +218,7 @@ pub(crate) fn pass_redundant_premises(
     sink: &mut Sink<'_>,
 ) {
     let premise_lits = theory.premise_lits();
-    let (Some(entailment), Some(conclusion_idx)) =
-        (theory.entailment_question(None), theory.conclusion_index())
-    else {
+    let Some(conclusion_idx) = theory.conclusion_index() else {
         return;
     };
     if premise_lits.is_empty() {
@@ -235,25 +227,21 @@ pub(crate) fn pass_redundant_premises(
     if !pool.check(theory.theory_mut(), &premise_lits) {
         return; // inconsistent: CK101's finding, not a redundancy.
     }
-    if pool.check(theory.theory_mut(), &entailment) {
-        return; // not entailed: CK107's finding.
-    }
-    for (i, dropped) in theory.premise_indices().into_iter().enumerate() {
-        let rest = theory
-            .entailment_question(Some(i))
-            .expect("a conclusion was found above");
-        if !pool.check(theory.theory_mut(), &rest) {
-            sink.emit(
-                LintCode::RedundantPremise,
-                Some(argument.id_at(dropped).clone()),
-                vec![argument.id_at(conclusion_idx).clone()],
-                format!(
-                    "premise `{}` is idle: the remaining premises already entail the conclusion",
-                    argument.id_at(dropped)
-                ),
-                Some("drop it, or strengthen the conclusion it was meant to carry".into()),
-            );
-        }
+    let Some(probe) = theory.probe(pool) else {
+        return;
+    };
+    let premises = theory.premise_indices();
+    for dropped in probe.idle.into_iter().map(|i| premises[i]) {
+        sink.emit(
+            LintCode::RedundantPremise,
+            Some(argument.id_at(dropped).clone()),
+            vec![argument.id_at(conclusion_idx).clone()],
+            format!(
+                "premise `{}` is idle: the remaining premises already entail the conclusion",
+                argument.id_at(dropped)
+            ),
+            Some("drop it, or strengthen the conclusion it was meant to carry".into()),
+        );
     }
 }
 

@@ -18,7 +18,9 @@
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, EdgeKind, FormalPayload, NodeIdx, NodeKind};
 use casekit_experiments::generator::{generate, GeneratorConfig, SeededFormal};
-use casekit_logic::prop::{Atom, Clause, ClauseSet, Formula, Literal, SatResult, Solver, Var};
+use casekit_logic::prop::{
+    Atom, Clause, ClauseSet, Formula, Literal, SatResult, Solver, Var, WitnessPool,
+};
 use casekit_oracle::{legacy, DpllSolver};
 use serde::Serialize;
 
@@ -152,7 +154,8 @@ impl LegacyEntailment {
 }
 
 /// The same sweep through the interned solver core: one theory
-/// compilation, every question an assumption round.
+/// compilation, every question an assumption round, the premise probe
+/// through [`ArgumentTheory::probe`] and a fresh witness pool.
 pub fn interned_sweep(argument: &Argument) -> SweepVerdict {
     let mut theory = ArgumentTheory::compile(argument);
     let steps = theory
@@ -167,9 +170,13 @@ pub fn interned_sweep(argument: &Argument) -> SweepVerdict {
     let root_entailed = theory.root_entailed();
     let critical = if root_entailed == Some(true) {
         let report = theory
-            .probe(argument)
+            .probe(&mut WitnessPool::new())
             .expect("entailed implies a conclusion");
-        report.impacts.iter().map(|i| i.is_critical()).collect()
+        let mut critical = vec![false; report.critical.len() + report.idle.len()];
+        for i in report.critical {
+            critical[i] = true;
+        }
+        critical
     } else {
         Vec::new()
     };

@@ -14,11 +14,14 @@
 //! [`ArgumentTheory::compile`] Tseitin-compiles every propositional
 //! payload **once** into one interned clause database; each support
 //! step, the root entailment, and every what-if probe is then an
-//! `assume`/`check`/`retract` round against it. The free functions
+//! `assume`/`check`/`retract` round against it.
+//! [`ArgumentTheory::probe`] is the one what-if probe: it asks its
+//! questions through a [`WitnessPool`], so a model found for one
+//! drop-probe answers the others it satisfies. The free functions
 //! ([`step_is_deductive`], [`non_deductive_steps`], [`probe_argument`])
-//! stay source-compatible and route through a single compilation;
-//! callers with several questions about the same argument should
-//! compile once and reuse the theory.
+//! are one-shot conveniences, each over one fresh compilation; callers
+//! with several questions about the same argument should compile once
+//! and reuse the theory and a pool.
 //!
 //! A step's children are the formalised nodes below it, reached through
 //! unformalised strategies. The walk that collects them keeps its own
@@ -28,9 +31,8 @@
 
 use crate::argument::{Argument, NodeIdx};
 use crate::node::{EdgeKind, FormalPayload, NodeId, NodeKind};
-use casekit_logic::probe::{PremiseImpact, ProbeReport};
-use casekit_logic::prop::{Formula, Lit, Theory};
-use std::collections::{BTreeSet, HashMap};
+use casekit_logic::prop::{Formula, Lit, Theory, WitnessPool};
+use std::collections::HashMap;
 
 /// The formal premises of an argument: the propositional payloads of its
 /// formalised support *leaves* (solutions/evidence are cited through their
@@ -243,6 +245,24 @@ pub struct RecompileStats {
     pub garbage_cost: usize,
     /// Variables backing live payloads.
     pub live_cost: usize,
+}
+
+/// Rushby's what-if probe over an argument's formal skeleton, at
+/// verdict level: whether the premises entail the conclusion and, when
+/// they do, which premises the entailment needs.
+///
+/// Premise positions follow [`formal_premises`] (sorted-id order).
+/// `critical` and `idle` partition them when `entailed` holds, and are
+/// both empty when it does not: there is nothing to probe.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ProbeReport {
+    /// Whether the full premise set entails the conclusion.
+    pub entailed: bool,
+    /// Premise positions whose removal breaks entailment.
+    pub critical: Vec<usize>,
+    /// Premise positions the conclusion survives without — Rushby's
+    /// candidates for red herrings, or legitimate defence in depth.
+    pub idle: Vec<usize>,
 }
 
 /// One checkable support step: a parent with a propositional payload and
@@ -525,39 +545,30 @@ impl ArgumentTheory {
     }
 
     /// Rushby's what-if probe over the formal skeleton: the root
-    /// entailment check plus one removal check per premise, all in this
-    /// session, each failed entailment with its counterexample over the
-    /// atoms of `argument`'s premise and conclusion payloads. `argument`
-    /// must be the argument this session was compiled from. `None` when
-    /// there is no formal conclusion.
-    pub fn probe(&mut self, argument: &Argument) -> Option<ProbeReport> {
-        let (conclusion_idx, _) = self.conclusion?;
-        let mut atoms = BTreeSet::new();
-        for idx in self.premise_indices().into_iter().chain([conclusion_idx]) {
-            if let Some(FormalPayload::Prop(f)) = &argument.node_at(idx).formal {
-                atoms.extend(f.atoms());
-            }
-        }
-        let premises = self.premises.len();
-        let mut counterexample = |skip| {
-            let question = self.entailment_question(skip)?;
-            self.theory.model_under(question, atoms.iter())
+    /// [`entailment_question`](Self::entailment_question), then — when
+    /// it holds — one drop-probe per premise in premise order, every
+    /// question asked through `pool`. CK104, the case service and the
+    /// one-shot [`probe_argument`] all probe through this method, so
+    /// each asks the same assumption sets in the same order. `None`
+    /// when there is no formal conclusion.
+    pub fn probe(&mut self, pool: &mut WitnessPool) -> Option<ProbeReport> {
+        let mut holds = |this: &mut Self, skip| {
+            let question = this.entailment_question(skip)?;
+            Some(!pool.check(&mut this.theory, &question))
         };
-        if counterexample(None).is_some() {
+        if !holds(self, None)? {
             return Some(ProbeReport {
                 entailed: false,
-                impacts: Vec::new(),
+                critical: Vec::new(),
+                idle: Vec::new(),
             });
         }
-        let impacts = (0..premises)
-            .map(|i| match counterexample(Some(i)) {
-                None => PremiseImpact::Idle,
-                Some(v) => PremiseImpact::Critical(v),
-            })
-            .collect();
+        let (idle, critical) =
+            (0..self.premises.len()).partition(|&i| holds(self, Some(i)) == Some(true));
         Some(ProbeReport {
             entailed: true,
-            impacts,
+            critical,
+            idle,
         })
     }
 }
@@ -591,9 +602,10 @@ pub fn non_deductive_steps(argument: &Argument) -> Vec<NodeId> {
 /// premises = formal leaf payloads, conclusion = root payload.
 ///
 /// Returns `None` when the argument has no formal conclusion. One theory
-/// compilation, `premises + 1` solver checks.
+/// compilation and [`ArgumentTheory::probe`] through a fresh pool: at
+/// most `premises + 1` solver checks.
 pub fn probe_argument(argument: &Argument) -> Option<ProbeReport> {
-    ArgumentTheory::compile(argument).probe(argument)
+    ArgumentTheory::compile(argument).probe(&mut WitnessPool::new())
 }
 
 #[cfg(test)]
@@ -651,9 +663,9 @@ mod tests {
         assert_eq!(theory.root_entailed(), Some(true));
         assert_eq!(theory.premise_indices().len(), 2);
         assert_eq!(theory.conclusion_index(), Some(g1));
-        let report = theory.probe(&a).unwrap();
+        let report = theory.probe(&mut WitnessPool::new()).unwrap();
         assert!(report.entailed);
-        assert_eq!(report.critical_indices(), vec![0, 1]);
+        assert_eq!(report.critical, vec![0, 1]);
         // Answers are stable across repeated questions (assumptions are
         // fully retracted between checks).
         assert_eq!(theory.step_is_deductive(g1), Some(true));
@@ -757,8 +769,41 @@ mod tests {
         let report = probe_argument(&a).unwrap();
         assert!(report.entailed);
         // Premises are ordered by node id: g2 (p), g3 (p->q), g4 (r).
-        assert_eq!(report.idle_indices(), vec![2]);
-        assert_eq!(report.critical_indices(), vec![0, 1]);
+        assert_eq!(report.idle, vec![2]);
+        assert_eq!(report.critical, vec![0, 1]);
+
+        // The probe of premises g1, g2, … (one formal leaf each) under a
+        // root claiming `conclusion`.
+        let probe_of = |premises: &[&str], conclusion: &str| {
+            let leaves: String = premises
+                .iter()
+                .zip(1..)
+                .map(|(p, i)| {
+                    format!("goal g{i} \"leaf\" formal \"{p}\" {{ solution e{i} \"ev\" }}")
+                })
+                .collect();
+            let src = format!(
+                "argument \"probe\" {{ goal g0 \"top\" formal \"{conclusion}\" {{ {leaves} }} }}"
+            );
+            probe_argument(&crate::dsl::parse_argument(&src).unwrap()).unwrap()
+        };
+        let verdict = |entailed, critical: &[usize], idle: &[usize]| ProbeReport {
+            entailed,
+            critical: critical.to_vec(),
+            idle: idle.to_vec(),
+        };
+        // Haley et al.'s outer argument: which premises does D -> H
+        // need? I -> V is idle (V never helps reach H).
+        assert_eq!(
+            probe_of(&["I -> V", "C -> H", "Y -> V & C", "D -> Y"], "D -> H"),
+            verdict(true, &[1, 2, 3], &[0])
+        );
+        // Duplicate premises: each alone suffices, so both are idle.
+        assert_eq!(probe_of(&["p", "p"], "p"), verdict(true, &[], &[0, 1]));
+        // A tautological conclusion needs no premise at all.
+        assert_eq!(probe_of(&["p", "q"], "r | ~r"), verdict(true, &[], &[0, 1]));
+        // Nothing to probe when the conclusion is not entailed.
+        assert_eq!(probe_of(&["p", "r"], "q"), verdict(false, &[], &[]));
     }
 
     #[test]
@@ -876,13 +921,7 @@ mod tests {
         let (mut inc, stats) = ArgumentTheory::recompile(&a, inc.into_theory(), &mut cache);
         assert_eq!(stats.fresh_payloads, 1);
         assert_eq!(inc.root_entailed(), Some(true));
-        assert_eq!(
-            inc.probe(&a).unwrap().critical_indices(),
-            ArgumentTheory::compile(&a)
-                .probe(&a)
-                .unwrap()
-                .critical_indices()
-        );
+        assert_eq!(inc.probe(&mut WitnessPool::new()), probe_argument(&a));
     }
 
     #[test]

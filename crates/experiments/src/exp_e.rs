@@ -141,7 +141,7 @@ pub fn run_with(config: &Config, rt: &Runtime) -> Result<Report, Error> {
     let probe = probe_argument(&argument).expect("argument has a formal skeleton");
     assert!(probe.entailed, "root must be entailed");
     let truth: Vec<bool> = (0..config.leaves)
-        .map(|i| probe.critical_indices().contains(&i))
+        .map(|i| probe.critical.contains(&i))
         .collect();
 
     let mut pool = generate_pool(&PoolConfig {
@@ -237,8 +237,8 @@ mod tests {
         let argument = judgment_argument(10);
         let probe = probe_argument(&argument).unwrap();
         assert!(probe.entailed);
-        assert_eq!(probe.critical_indices().len(), 5);
-        assert_eq!(probe.idle_indices().len(), 5);
+        assert_eq!(probe.critical.len(), 5);
+        assert_eq!(probe.idle.len(), 5);
     }
 
     #[test]

@@ -34,9 +34,8 @@
 //! determinism tests and measured in `repro experiments`
 //! (`BENCH_experiments.json`).
 
-use casekit_core::semantics::ArgumentTheory;
 use casekit_core::Argument;
-use casekit_fallacies::checker::{check_compiled, MachineReport};
+use casekit_fallacies::checker::{check_argument, MachineReport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::borrow::Borrow;
@@ -83,31 +82,25 @@ pub fn stream_rng(seed: u64, lane: u64, index: u64) -> ChaCha8Rng {
     StreamLane::new(seed, lane).rng(index)
 }
 
-/// Machine-checks a population of arguments: one theory compilation and
-/// one [`check_compiled`] pass per argument, fanned across the runtime's
-/// workers.
+/// Machine-checks a population of arguments: one [`check_argument`]
+/// (one theory compilation, one question set) per argument, fanned
+/// across the runtime's workers.
 ///
 /// This is the §VI-A machine arm at population scale — the reports are
 /// deterministic, so experiment code calls this once and shares the
 /// findings across every simulated review of the same argument instead
-/// of recompiling per review. Each freshly compiled theory is checked
-/// in place inside its worker (a sweep asks exactly one question set
-/// per argument, so nothing is cached).
+/// of recompiling per review.
 pub fn machine_check_sweep<A>(arguments: &[A], runtime: &Runtime) -> Vec<MachineReport>
 where
     A: Borrow<Argument> + Sync,
 {
-    runtime.map(arguments, |_, a| {
-        let mut theory = ArgumentTheory::compile(a.borrow());
-        check_compiled(a.borrow(), &mut theory)
-    })
+    runtime.map(arguments, |_, a| check_argument(a.borrow()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generator::{generate, GeneratorConfig, SeededFormal};
-    use casekit_fallacies::checker::check_argument;
     use rand::Rng;
 
     #[test]

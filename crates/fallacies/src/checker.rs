@@ -8,10 +8,11 @@
 //! system itself enforces the paper's §IV-C claim that machine checking
 //! cannot return informal-fallacy findings.
 
-use crate::formal::{self, SatOracle, SolverOracle};
+use crate::formal;
 use crate::taxonomy::FormalFallacy;
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
 use casekit_core::{Argument, NodeId};
+use casekit_logic::prop::WitnessPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -70,40 +71,34 @@ impl MachineReport {
 /// Mechanically checks `argument`'s formal skeleton.
 ///
 /// The propositional payloads are compiled once into an
-/// [`ArgumentTheory`] session; every per-step deduction check and the
-/// root entailment are assumption rounds against it. The fallacy
-/// detectors run over borrowed premise references — no `Formula` clones
-/// anywhere on the path.
+/// [`ArgumentTheory`] session, and [`check_compiled`] asks every
+/// question through a fresh [`WitnessPool`]. The fallacy detectors run
+/// over borrowed premise references — no `Formula` clones anywhere on
+/// the path.
 ///
-/// Callers that check the same argument repeatedly (e.g. a review
-/// harness asking once per simulated reviewer) should compile once and
-/// call [`check_compiled`] instead of paying this compilation every
-/// time.
+/// Callers that check the same argument repeatedly should compile once
+/// and call [`check_compiled`] with a pool they keep, instead of paying
+/// this compilation every time.
 pub fn check_argument(argument: &Argument) -> MachineReport {
     let mut theory = ArgumentTheory::compile(argument);
-    check_compiled(argument, &mut theory)
+    check_compiled(argument, &mut theory, &mut WitnessPool::new())
 }
 
-/// [`check_argument`] against an already-compiled theory session.
+/// [`check_argument`] against an already-compiled theory session, with
+/// every solver question — each step verdict, the root entailment and
+/// the fallacy detectors — asked through `pool`.
 ///
 /// `theory` must be a session over this `argument` (fresh from
 /// [`ArgumentTheory::compile`], or a long-lived one); the premise and
 /// conclusion literal lists are aligned with the argument's formal
 /// skeleton by construction. Checks fully retract their assumptions, so
-/// one session can serve any number of calls.
-pub fn check_compiled(argument: &Argument, theory: &mut ArgumentTheory) -> MachineReport {
-    check_compiled_with(argument, theory, &mut SolverOracle)
-}
-
-/// [`check_compiled`] with every solver question — each step verdict,
-/// the root entailment and the fallacy detectors — answered by
-/// `oracle`. Callers that keep a satisfiability cache across questions
-/// (the incremental case service's witness pool) pass it here; the
-/// report is identical for every conforming oracle.
-pub fn check_compiled_with(
+/// one session can serve any number of calls. A caller that keeps the
+/// pool across calls (the incremental case service keeps one per case)
+/// gets the same report from a warm pool as from a cold one.
+pub fn check_compiled(
     argument: &Argument,
     theory: &mut ArgumentTheory,
-    oracle: &mut dyn SatOracle,
+    pool: &mut WitnessPool,
 ) -> MachineReport {
     let premises = formal_premises(argument);
     let conclusion = formal_conclusion(argument);
@@ -113,7 +108,7 @@ pub fn check_compiled_with(
         let question = theory
             .step_question(idx)
             .expect("step_indices yields only checkable steps");
-        if oracle.sat_check(theory.theory_mut(), &question) {
+        if pool.check(theory.theory_mut(), &question) {
             findings.push(MachineFinding::NonDeductiveStep {
                 node: argument.id_at(idx).clone(),
             });
@@ -133,7 +128,7 @@ pub fn check_compiled_with(
             theory.entailment_question(None),
             theory.conclusion_lit(),
         ) {
-            if oracle.sat_check(theory.theory_mut(), &question) {
+            if pool.check(theory.theory_mut(), &question) {
                 findings.push(MachineFinding::ConclusionNotEntailed);
             }
             // The detectors reuse the argument's compiled literals
@@ -142,7 +137,7 @@ pub fn check_compiled_with(
             let premise_lits = theory.premise_lits();
             for finding in formal::detect_all_compiled_with(
                 theory.theory_mut(),
-                oracle,
+                pool,
                 premise_lits,
                 conclusion_lit,
                 &premises,
@@ -286,11 +281,15 @@ mod tests {
         .unwrap();
         let fresh = check_argument(&a);
         let mut session = ArgumentTheory::compile(&a);
-        // The same session answers identically as many times as asked —
-        // the access pattern of a theory cache shared across reviews.
-        for _ in 0..3 {
-            assert_eq!(check_compiled(&a, &mut session), fresh);
+        let mut pool = WitnessPool::new();
+        // The same session and pool answer identically as many times as
+        // asked, and the warm pool pays no second solve.
+        assert_eq!(check_compiled(&a, &mut session, &mut pool), fresh);
+        let calls = pool.solver_calls();
+        for _ in 0..2 {
+            assert_eq!(check_compiled(&a, &mut session, &mut pool), fresh);
         }
+        assert_eq!(pool.solver_calls(), calls);
     }
 
     #[test]

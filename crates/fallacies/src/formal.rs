@@ -11,16 +11,19 @@
 //! redundant, not fallacious).
 //!
 //! All semantic questions (entailment, consistency, equivalence) run
-//! against one compiled [`Theory`] session per entry point: premises and
-//! conclusion are Tseitin-compiled once, and every question is an
-//! `assume`/`check`/`retract` round. [`detect_all`] shares a single
-//! session across all six detectors. Premises are accepted as anything
-//! borrowable as a [`Formula`], so callers holding `Vec<&Formula>` (the
-//! allocation-free path out of `casekit-core::semantics`) and callers
-//! holding `Vec<Formula>` both work.
+//! against one compiled [`Theory`] session per entry point and are
+//! asked through one [`WitnessPool`]: a stored model answers every later
+//! question it satisfies, and only the rest are `assume`/`check`/`retract`
+//! rounds. [`detect_all_compiled_with`] runs all six detectors on the
+//! caller's compilation and pool; each standalone detector compiles its
+//! premises and conclusion once and starts a fresh pool. Premises are
+//! accepted as anything borrowable as a [`Formula`], so callers holding
+//! `Vec<&Formula>` (the allocation-free path out of
+//! `casekit-core::semantics`) and callers holding `Vec<Formula>` both
+//! work.
 
 use crate::taxonomy::FormalFallacy;
-use casekit_logic::prop::{Formula, Lit, Theory};
+use casekit_logic::prop::{Formula, Lit, Theory, WitnessPool};
 use serde::{Deserialize, Serialize};
 use std::borrow::Borrow;
 use std::fmt;
@@ -42,73 +45,19 @@ impl fmt::Display for Finding {
     }
 }
 
-/// Answers the detectors' satisfiability questions. The contract is
-/// exact [`Theory::check_under`] semantics — implementations may only
-/// change *how* the answer is computed (e.g. CaseLint's witness pool
-/// answers SAT questions from cached models), never *what* it is, so
-/// findings are identical under every oracle.
-pub trait SatOracle {
-    /// `Theory::check_under(assumptions)`, possibly short-circuited.
-    fn sat_check(&mut self, theory: &mut Theory, assumptions: &[Lit]) -> bool;
-}
-
-/// The default oracle: every question is a real solver call.
-pub struct SolverOracle;
-
-impl SatOracle for SolverOracle {
-    fn sat_check(&mut self, theory: &mut Theory, assumptions: &[Lit]) -> bool {
-        theory.check_under(assumptions.iter().copied())
-    }
-}
-
-/// One compiled premises/conclusion theory, shared by every detector.
-struct Session<'t, 'o> {
-    theory: &'t mut Theory,
-    oracle: &'o mut dyn SatOracle,
+/// One compiled premises/conclusion theory, shared by every detector,
+/// with every question asked through one pool.
+struct Session<'s> {
+    theory: &'s mut Theory,
+    pool: &'s mut WitnessPool,
     premise_lits: Vec<Lit>,
     conclusion_lit: Lit,
 }
 
-impl<'t, 'o> Session<'t, 'o> {
-    /// Compiles the premises and conclusion into `theory`.
-    fn compile<B: Borrow<Formula>>(
-        theory: &'t mut Theory,
-        oracle: &'o mut dyn SatOracle,
-        premises: &[B],
-        conclusion: &Formula,
-    ) -> Self {
-        let premise_lits = premises
-            .iter()
-            .map(|p| theory.formula_lit(p.borrow()))
-            .collect();
-        let conclusion_lit = theory.formula_lit(conclusion);
-        Session {
-            theory,
-            oracle,
-            premise_lits,
-            conclusion_lit,
-        }
-    }
-
-    /// Wraps literals already compiled elsewhere (e.g. by
-    /// `casekit-core::semantics::ArgumentTheory`) — no recompilation.
-    fn from_parts(
-        theory: &'t mut Theory,
-        oracle: &'o mut dyn SatOracle,
-        premise_lits: Vec<Lit>,
-        conclusion_lit: Lit,
-    ) -> Self {
-        Session {
-            theory,
-            oracle,
-            premise_lits,
-            conclusion_lit,
-        }
-    }
-
+impl Session<'_> {
     /// Satisfiability of an assumption set, with automatic retraction.
     fn sat(&mut self, assumptions: &[Lit]) -> bool {
-        self.oracle.sat_check(self.theory, assumptions)
+        self.pool.check(self.theory, assumptions)
     }
 
     /// Whether the full premise set entails the conclusion.
@@ -143,40 +92,50 @@ impl<'t, 'o> Session<'t, 'o> {
     }
 }
 
-/// Runs every propositional detector over one shared solver session.
-pub fn detect_all<B: Borrow<Formula>>(premises: &[B], conclusion: &Formula) -> Vec<Finding> {
+/// Compiles `premises` and `conclusion` into a fresh theory and runs
+/// `detect` on them with a fresh pool: the standalone detectors' session.
+fn standalone<B: Borrow<Formula>, R>(
+    premises: &[B],
+    conclusion: &Formula,
+    detect: impl FnOnce(&mut Session<'_>) -> R,
+) -> R {
     let mut theory = Theory::new();
-    let mut oracle = SolverOracle;
-    let session = Session::compile(&mut theory, &mut oracle, premises, conclusion);
-    detect_all_session(session, premises, conclusion)
+    let premise_lits = premises
+        .iter()
+        .map(|p| theory.formula_lit(p.borrow()))
+        .collect();
+    let conclusion_lit = theory.formula_lit(conclusion);
+    detect(&mut Session {
+        theory: &mut theory,
+        pool: &mut WitnessPool::new(),
+        premise_lits,
+        conclusion_lit,
+    })
 }
 
-/// [`detect_all`] against formulas *already compiled* into `theory`,
-/// with every satisfiability question answered by `oracle`:
-/// `premise_lits`/`conclusion_lit` must be the compiled equivalents of
-/// `premises`/`conclusion` (in the same order). Used by the machine
-/// checker and CaseLint to reuse the one-per-argument `ArgumentTheory`
-/// compilation instead of Tseitin-compiling every payload a second
-/// time. Findings are identical for every conforming oracle.
+/// Runs every propositional detector against formulas *already
+/// compiled* into `theory`, with every satisfiability question asked
+/// through `pool`: `premise_lits`/`conclusion_lit` must be the compiled
+/// equivalents of `premises`/`conclusion` (in the same order). Used by
+/// the machine checker and CaseLint to reuse the one-per-argument
+/// `ArgumentTheory` compilation instead of Tseitin-compiling every
+/// payload a second time. Findings are the same with a cold pool or a
+/// warm one.
 pub fn detect_all_compiled_with<B: Borrow<Formula>>(
     theory: &mut Theory,
-    oracle: &mut dyn SatOracle,
+    pool: &mut WitnessPool,
     premise_lits: Vec<Lit>,
     conclusion_lit: Lit,
     premises: &[B],
     conclusion: &Formula,
 ) -> Vec<Finding> {
-    let session = Session::from_parts(theory, oracle, premise_lits, conclusion_lit);
-    detect_all_session(session, premises, conclusion)
-}
-
-fn detect_all_session<B: Borrow<Formula>>(
-    mut session: Session<'_, '_>,
-    premises: &[B],
-    conclusion: &Formula,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    findings.extend(begging_in(&mut session, premises, conclusion));
+    let mut session = Session {
+        theory,
+        pool,
+        premise_lits,
+        conclusion_lit,
+    };
+    let mut findings = begging_in(&mut session, premises, conclusion);
     findings.extend(incompatible_in(&mut session, premises));
     findings.extend(contradiction_in(&mut session, premises, conclusion));
     let entailed = session.entailed();
@@ -192,10 +151,9 @@ pub fn begging_the_question<B: Borrow<Formula>>(
     premises: &[B],
     conclusion: &Formula,
 ) -> Vec<Finding> {
-    let mut theory = Theory::new();
-    let mut oracle = SolverOracle;
-    let mut session = Session::compile(&mut theory, &mut oracle, premises, conclusion);
-    begging_in(&mut session, premises, conclusion)
+    standalone(premises, conclusion, |session| {
+        begging_in(session, premises, conclusion)
+    })
 }
 
 fn begging_in<B: Borrow<Formula>>(
@@ -221,10 +179,9 @@ pub fn incompatible_premises<B: Borrow<Formula>>(premises: &[B]) -> Vec<Finding>
     if premises.is_empty() {
         return Vec::new();
     }
-    let mut theory = Theory::new();
-    let mut oracle = SolverOracle;
-    let mut session = Session::compile(&mut theory, &mut oracle, premises, &Formula::True);
-    incompatible_in(&mut session, premises)
+    standalone(premises, &Formula::True, |session| {
+        incompatible_in(session, premises)
+    })
 }
 
 fn incompatible_in<B: Borrow<Formula>>(session: &mut Session, premises: &[B]) -> Vec<Finding> {
@@ -243,7 +200,7 @@ fn incompatible_in<B: Borrow<Formula>>(session: &mut Session, premises: &[B]) ->
         }
     }
     // The full conjunction is contradictory, so the final prefix probe
-    // must have fired above; if an oracle ever answers inconsistently,
+    // must have fired above; if the answers were ever inconsistent,
     // implicate every premise rather than panic.
     vec![Finding {
         fallacy: FormalFallacy::IncompatiblePremises,
@@ -258,10 +215,9 @@ pub fn premise_conclusion_contradiction<B: Borrow<Formula>>(
     premises: &[B],
     conclusion: &Formula,
 ) -> Vec<Finding> {
-    let mut theory = Theory::new();
-    let mut oracle = SolverOracle;
-    let mut session = Session::compile(&mut theory, &mut oracle, premises, conclusion);
-    contradiction_in(&mut session, premises, conclusion)
+    standalone(premises, conclusion, |session| {
+        contradiction_in(session, premises, conclusion)
+    })
 }
 
 fn contradiction_in<B: Borrow<Formula>>(
@@ -298,9 +254,7 @@ pub fn denying_the_antecedent<B: Borrow<Formula>>(
 
 /// One-off entailment check for the standalone detector entry points.
 fn entailed_fresh<B: Borrow<Formula>>(premises: &[B], conclusion: &Formula) -> bool {
-    let mut theory = Theory::new();
-    let mut oracle = SolverOracle;
-    Session::compile(&mut theory, &mut oracle, premises, conclusion).entailed()
+    standalone(premises, conclusion, |session| session.entailed())
 }
 
 fn denying_in<B: Borrow<Formula>>(
@@ -422,6 +376,25 @@ mod tests {
         parse(s).unwrap()
     }
 
+    /// Every detector through [`detect_all_compiled_with`], on a theory
+    /// this test compiles and a fresh pool.
+    fn compiled_findings<B: Borrow<Formula>>(premises: &[B], conclusion: &Formula) -> Vec<Finding> {
+        let mut theory = Theory::new();
+        let premise_lits = premises
+            .iter()
+            .map(|p| theory.formula_lit(p.borrow()))
+            .collect();
+        let conclusion_lit = theory.formula_lit(conclusion);
+        detect_all_compiled_with(
+            &mut theory,
+            &mut WitnessPool::new(),
+            premise_lits,
+            conclusion_lit,
+            premises,
+            conclusion,
+        )
+    }
+
     #[test]
     fn begging_detected_syntactic_and_equivalent() {
         let premises = vec![f("safe"), f("tests_pass")];
@@ -494,7 +467,7 @@ mod tests {
     #[test]
     fn detect_all_aggregates() {
         let premises = vec![f("p -> q"), f("~p"), f("r"), f("~r")];
-        let findings = detect_all(&premises, &f("~q"));
+        let findings = compiled_findings(&premises, &f("~q"));
         let kinds: Vec<_> = findings.iter().map(|x| x.fallacy).collect();
         assert!(kinds.contains(&FormalFallacy::IncompatiblePremises));
         // Denying-the-antecedent is masked here: inconsistent premises
@@ -508,7 +481,7 @@ mod tests {
         // semantics::formal_premises.
         let owned = [f("p -> q"), f("p")];
         let borrowed: Vec<&Formula> = owned.iter().collect();
-        assert!(detect_all(&borrowed, &f("q")).is_empty());
+        assert!(compiled_findings(&borrowed, &f("q")).is_empty());
         let begging: Vec<&Formula> = owned.iter().take(1).collect();
         assert_eq!(begging_the_question(&begging, &f("p -> q")).len(), 1);
     }
@@ -516,10 +489,10 @@ mod tests {
     #[test]
     fn clean_deduction_yields_no_findings() {
         let premises = vec![f("p -> q"), f("p")];
-        assert!(detect_all(&premises, &f("q")).is_empty());
+        assert!(compiled_findings(&premises, &f("q")).is_empty());
         // The Haley proof premises against its conclusion.
         let premises = vec![f("I -> V"), f("C -> H"), f("Y -> V & C"), f("D -> Y")];
-        assert!(detect_all(&premises, &f("D -> H")).is_empty());
+        assert!(compiled_findings(&premises, &f("D -> H")).is_empty());
     }
 
     #[test]

@@ -11,15 +11,17 @@
 //!    the ground truth against which detectors and simulated reviewers are
 //!    scored.
 //! 2. Heuristic lints ([`glossary_equivocation_lint`],
-//!    [`idle_premise_lint`], [`quantifier_mismatch_lint`]) that surface
-//!    *cues* a human should examine. Their unit tests include false
-//!    positives and false negatives on purpose: they are demonstrations of
-//!    the limits, not refutations of them.
+//!    [`quantifier_mismatch_lint`]) that surface *cues* a human should
+//!    examine. Their unit tests include false positives and false
+//!    negatives on purpose: they are demonstrations of the limits, not
+//!    refutations of them.
+//!
+//! Formally idle premises — red-herring candidates, or defence in depth
+//! — are CaseLint's `CK104`, which reads them off
+//! `casekit_core::semantics::ArgumentTheory::probe`.
 
 use crate::taxonomy::InformalFallacy;
 use casekit_core::{Argument, NodeId};
-use casekit_logic::probe::probe;
-use casekit_logic::prop::Formula;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -130,29 +132,6 @@ pub fn glossary_equivocation_lint(glossary: &BTreeMap<(NodeId, String), String>)
         .collect()
 }
 
-/// Idle-premise lint: premises whose removal does not affect the formal
-/// conclusion are *candidates* for red herrings — but only candidates
-/// (defence-in-depth evidence is legitimately redundant).
-pub fn idle_premise_lint(premises: &[Formula], conclusion: &Formula) -> Vec<Cue> {
-    let report = probe(premises, conclusion);
-    if !report.entailed {
-        return Vec::new();
-    }
-    report
-        .idle_indices()
-        .into_iter()
-        .map(|i| Cue {
-            possible: InformalFallacy::RedHerring,
-            node: None,
-            detail: format!(
-                "premise {} (`{}`) is formally idle: the conclusion survives without it",
-                i + 1,
-                premises[i]
-            ),
-        })
-        .collect()
-}
-
 /// Quantifier-mismatch lint over node text: a node whose text claims
 /// "all …" supported only by nodes whose text says "some …" or "sampled"
 /// is a *cue* for hasty generalisation. Purely lexical — demonstrably
@@ -191,7 +170,6 @@ pub fn quantifier_mismatch_lint(argument: &Argument) -> Vec<Cue> {
 mod tests {
     use super::*;
     use casekit_core::dsl::parse_argument;
-    use casekit_logic::prop::parse;
 
     #[test]
     fn seeded_records_and_counts() {
@@ -242,34 +220,6 @@ mod tests {
         glossary.insert((NodeId::new("g1"), "bank".to_string()), "bank".to_string());
         glossary.insert((NodeId::new("g2"), "bank".to_string()), "bank".to_string());
         assert!(glossary_equivocation_lint(&glossary).is_empty());
-    }
-
-    #[test]
-    fn idle_premise_lint_flags_unused_premise() {
-        let premises = vec![
-            parse("p").unwrap(),
-            parse("p -> q").unwrap(),
-            parse("weather_is_nice").unwrap(),
-        ];
-        let cues = idle_premise_lint(&premises, &parse("q").unwrap());
-        assert_eq!(cues.len(), 1);
-        assert!(cues[0].detail.contains("weather_is_nice"));
-    }
-
-    #[test]
-    fn idle_premise_lint_false_positive_on_redundant_evidence() {
-        // Defence in depth: two independent sufficient premises. Each is
-        // individually idle, yet neither is a red herring. The lint flags
-        // both — a designed false positive.
-        let premises = vec![parse("q").unwrap(), parse("p & (p -> q)").unwrap()];
-        let cues = idle_premise_lint(&premises, &parse("q").unwrap());
-        assert_eq!(cues.len(), 2);
-    }
-
-    #[test]
-    fn idle_premise_lint_silent_when_not_entailed() {
-        let premises = vec![parse("p").unwrap()];
-        assert!(idle_premise_lint(&premises, &parse("q").unwrap()).is_empty());
     }
 
     #[test]

@@ -48,8 +48,9 @@
 //! direct label propagation with no SAT call, and only non-trivial
 //! components are compiled, by [`encode::AfSat`]'s own encoder, into
 //! small per-component SAT encodings with upstream labels baked in as
-//! unit clauses. Independent components at the same topological depth are
-//! farmed across the `casekit-runtime` work farm. This is what carries
+//! unit clauses. Independent non-trivial components at the same
+//! topological depth are farmed across the `casekit-runtime` work farm;
+//! singletons propagate inline. This is what carries
 //! grounded/preferred/stable to 10^5-argument frameworks; the
 //! monolithic encoding stays on below the threshold and doubles as the
 //! differential cross-check.

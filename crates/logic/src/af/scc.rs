@@ -396,18 +396,15 @@ impl Decomposed {
                     .iter()
                     .map(|&c| self.signature(&branch, c))
                     .collect();
-                // Singleton components: direct propagation, farmed as
-                // one parallel pass per branch.
-                if !singles.is_empty() {
-                    let labels = self
-                        .runtime
-                        .map(&singles, |_, &c| self.propagate_singleton(&branch, c));
-                    for (&c, &label) in singles.iter().zip(&labels) {
-                        if mode == Mode::Stable && label == Label::Undec {
-                            continue 'branch;
-                        }
-                        branch[self.cond.members(c)[0]] = label;
+                // Singleton components: direct propagation, a few array
+                // reads each, so inline. Same-depth singletons do not
+                // attack each other, so each reads only shallower labels.
+                for &c in &singles {
+                    let label = self.propagate_singleton(&branch, c);
+                    if mode == Mode::Stable && label == Label::Undec {
+                        continue 'branch;
                     }
+                    branch[self.cond.members(c)[0]] = label;
                 }
                 // Non-trivial components: cross-product of the local
                 // labellings each component admits under this branch.

@@ -109,11 +109,6 @@ impl Narrative {
             .map(|(e, _)| e)
     }
 
-    /// The latest time at which any event happens (0 if none).
-    pub fn horizon(&self) -> Time {
-        self.happens.iter().map(|(_, t)| *t).max().unwrap_or(0)
-    }
-
     /// Ground fluent instances affected (initiated or terminated) by
     /// `event` under the given axiom set.
     fn effects(axioms: &[EffectAxiom], event: &Term) -> Vec<Term> {
@@ -222,13 +217,15 @@ mod tests {
     #[test]
     fn horizon_and_events_at() {
         let mut n = Narrative::new();
-        assert_eq!(n.horizon(), 0);
+        assert_eq!(n.events_at(0).count(), 0);
         n.happens(t("e1"), 4).unwrap();
         n.happens(t("e2"), 9).unwrap();
         n.happens(t("e3"), 4).unwrap();
-        assert_eq!(n.horizon(), 9);
         assert_eq!(n.events_at(4).count(), 2);
         assert_eq!(n.events_at(5).count(), 0);
+        // Nothing happens past the last event.
+        assert_eq!(n.events_at(9).count(), 1);
+        assert!((10..20).all(|time| n.events_at(time).count() == 0));
     }
 
     #[test]
@@ -264,7 +261,7 @@ mod tests {
                 term: "tap(X, bob)".into(),
             }
         );
-        assert_eq!(n.horizon(), 0);
+        assert_eq!(n.events_at(1).count(), 0);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl<T> Csr<T> {
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
     }
-
-    /// Number of entries across all rows.
-    pub fn num_entries(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 /// Tarjan's strongly connected components ("Depth-first search and
@@ -157,9 +152,8 @@ mod tests {
         let rows: Vec<&[char]> = (0..csr.rows()).map(|r| csr.row(r)).collect();
         let expected: [&[char]; 4] = [&['b', 'd'], &[], &['a', 'c', 'e'], &[]];
         assert_eq!(rows, expected);
-        assert_eq!(csr.num_entries(), 5);
         let empty: Csr<u8> = Csr::from_pairs(3, []);
-        assert!(empty.num_entries() == 0 && empty.rows() == 3 && empty.row(2).is_empty());
+        assert!(empty.rows() == 3 && (0..3).all(|r| empty.row(r).is_empty()));
     }
 
     #[test]

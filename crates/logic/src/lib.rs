@@ -28,8 +28,6 @@
 //!   deliberation-dialogue layer, after Tolchinsky et al.'s
 //!   safety-critical decision support. Extensions are decided by the
 //!   CDCL solver over a labelling encoding ([`af::encode`]).
-//! * [`probe`] — Rushby's "what-if" premise probing over propositional
-//!   theories.
 //! * [`graph`] — the workspace's one graph kernel: a counting-sort CSR
 //!   table builder and an iterative Tarjan SCC pass, shared by the
 //!   argument graph in `casekit-core`, its CK002 lint, [`af`] and
@@ -68,10 +66,13 @@
 //! The planes meet in [`prop::Theory`], which Tseitin-compiles formulas
 //! straight into packed literals with full biconditional definitions,
 //! so every compiled literal (and its negation) is usable as an
-//! assumption. Batch callers — `casekit-core::semantics`, the fallacy
-//! checker, [`probe`], the experiments — compile one `Theory` per
-//! argument and answer every entailment question through
-//! `assume`/`check`/`retract` rounds against the same clause database.
+//! assumption. Batch callers — `casekit-core::semantics` and its
+//! what-if probe, the fallacy checker, CaseLint, the case service —
+//! compile one `Theory` per argument and ask every question through one
+//! [`prop::WitnessPool`]: a stored model answers any assumption set it
+//! satisfies, a stored UNSAT set answers its supersets, and only the
+//! rest become `assume`/`check`/`retract` rounds against the same
+//! clause database.
 //! The historical entry points ([`prop::dpll`],
 //! `Formula::{entails, is_satisfiable, …}`) remain as thin wrappers.
 //!
@@ -107,11 +108,11 @@ pub mod fol;
 pub mod graph;
 pub mod ltl;
 pub mod nd;
-pub mod probe;
 pub mod prop;
 pub mod sorts;
 
 mod error;
 mod expr;
+mod witness;
 pub use error::{LineIndex, Located, LogicError, ParseError, Span, SyntaxError, SyntaxErrorKind};
 pub use expr::MAX_DEPTH;

@@ -21,11 +21,13 @@
 //!
 //! [`dpll`], [`Formula::entails`], and friends keep their historical
 //! signatures as thin bridges onto the index plane. Batch callers
-//! (argument semantics, fallacy checking, probing, the experiments)
-//! compile a [`solver::Theory`] once and issue many
-//! `assume`/`check`/`retract` queries against it — and because
-//! assumptions enter the CDCL search as decisions, everything learned
-//! answering one query speeds up the next. The two older engines, the
+//! (argument semantics and its what-if probe, fallacy checking, the
+//! lint passes, the case service) compile a [`solver::Theory`] once and
+//! ask many questions against it through one [`WitnessPool`], which
+//! answers from stored models and UNSAT sets where it can and sends
+//! the rest to the solver as `assume`/`check`/`retract` rounds — and
+//! because assumptions enter the CDCL search as decisions, everything
+//! learned answering one query speeds up the next. The two older engines, the
 //! seed's recursive solver and the chronological watched-literal DPLL
 //! that preceded CDCL, are differential oracles outside the product API:
 //! `casekit_oracle::legacy` and `casekit_oracle::DpllSolver`.
@@ -39,6 +41,7 @@ mod resolution;
 mod sat;
 pub mod solver;
 
+pub use crate::witness::WitnessPool;
 pub use ast::{Atom, Formula};
 pub use cnf::{Clause, ClauseSet, Literal};
 pub use eval::{truth_table, TruthTable, Valuation};

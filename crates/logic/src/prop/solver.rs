@@ -1066,25 +1066,15 @@ impl Theory {
     }
 
     /// Like [`Theory::check_under`], but on satisfiability returns the
-    /// model restricted to `atoms`.
-    pub fn model_under<'a, I, A>(&mut self, assumptions: I, atoms: A) -> Option<Valuation>
-    where
-        I: IntoIterator<Item = Lit>,
-        A: IntoIterator<Item = &'a Atom>,
-    {
-        self.answer_under(assumptions, |theory| theory.model(atoms))
-    }
-
-    /// Like [`Theory::check_under`], but on satisfiability returns the
     /// complete variable assignment as a dense vector indexed by
     /// [`Var::index`]: a SAT answer assigns every variable, so the
     /// vector is the model itself.
     ///
-    /// Witness-reusing probe engines (CaseLint's logical passes) store
-    /// these vectors and answer later satisfiability questions by
-    /// evaluating the assumption literals against stored witnesses —
-    /// a handful of array reads — falling back to a real solver call
-    /// only when no witness covers the assumptions. A stored witness
+    /// [`WitnessPool`](crate::prop::WitnessPool) stores these vectors
+    /// and answers later satisfiability questions by evaluating the
+    /// assumption literals against stored witnesses — a handful of
+    /// array reads — falling back to a real solver call only when no
+    /// witness covers the assumptions. A stored witness
     /// stays valid across later checks on the same session: learned
     /// clauses are consequences of the database, and Tseitin
     /// definitions added later only constrain the fresh variables,

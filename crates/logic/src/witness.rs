@@ -1,10 +1,11 @@
-//! Witness reuse for the logical passes.
+//! Witness reuse: the one way a batch of questions about a compiled
+//! case is answered.
 //!
-//! Most solver questions the lint passes ask are *satisfiability*
-//! questions whose expected answer is SAT: "are the premises
-//! consistent?", "is the conclusion falsifiable?", "does the argument
-//! survive dropping premise `i`?". A CDCL call answers each in 10 to
-//! 35 µs on a light case (five premise chains of width 16, 248
+//! Most solver questions asked about an argument are
+//! *satisfiability* questions whose expected answer is SAT: "are the
+//! premises consistent?", "is the conclusion falsifiable?", "does the
+//! argument survive dropping premise `i`?". A CDCL call answers each in
+//! 10 to 35 µs on a light case (five premise chains of width 16, 248
 //! variables; release build on a 2-vCPU x86-64 host) — but a model
 //! found for one question very often answers several of the others
 //! outright, because a single total assignment can simultaneously
@@ -17,8 +18,9 @@
 //! the solver; only misses — including every genuinely UNSAT question
 //! — pay for a real search. This is the classic model-reuse trick from
 //! SAT sweeping, and it is *answer-invariant*: a witness hit returns
-//! `true` exactly when the solver would, so diagnostics are
-//! byte-identical with or without the pool.
+//! `true` exactly when the solver would, so every verdict, finding and
+//! diagnostic is the same with a cold pool, a warm one, or the raw
+//! [`Theory::check_under`].
 //!
 //! Witness validity across a session: learned clauses are consequences
 //! of the database (every stored model still satisfies them), and
@@ -27,22 +29,23 @@
 //! assumption over a variable newer than the witness, so stale hits
 //! are impossible.
 //!
-//! The incremental case service keeps one pool per case for the case's
-//! whole life, and routes *every* solver question of a revision through
-//! it: step verdicts, root entailment, every lint pass, and the premise
-//! probe. Recompiling an edited case reuses the literals of unchanged
-//! payloads and the clause database only grows, so an unchanged step,
-//! entailment or drop-probe asks the identical assumption set it asked
-//! before, and the stored model (SAT) or assumption set (UNSAT) answers
-//! it without the solver. Only questions over new literals, or new
-//! combinations of old ones, reach the CDCL core, so the pool is also
-//! the service's step-verdict cache.
+//! Every batch caller asks through a pool: the machine checker and the
+//! fallacy detectors of `casekit-fallacies`, the what-if probe of
+//! `casekit-core`'s `ArgumentTheory`, the CaseLint passes of
+//! `casekit-analysis`, and the incremental case service. A one-shot
+//! call starts a fresh pool; the service keeps one pool per case for
+//! the case's whole life, so models and UNSAT sets found answering one
+//! revision's questions keep answering the next revision's. Recompiling
+//! an edited case reuses the literals of unchanged payloads and the
+//! clause database only grows, so an unchanged step, entailment or
+//! drop-probe asks the identical assumption set it asked before, and
+//! the stored model (SAT) or assumption set (UNSAT) answers it without
+//! the solver.
 
-use casekit_fallacies::formal::SatOracle;
-use casekit_logic::prop::{Lit, Theory};
+use crate::prop::{Lit, Theory};
 
 /// A pool of total assignments known to satisfy the session's clause
-/// database, reused across a lint run's satisfiability checks —
+/// database, reused across a batch of satisfiability checks —
 /// together with the dual cache: assumption sets proven unsatisfiable,
 /// which answer any superset question UNSAT for free (adding
 /// assumptions can only preserve unsatisfiability).
@@ -148,12 +151,6 @@ impl WitnessPool {
     }
 }
 
-impl SatOracle for WitnessPool {
-    fn sat_check(&mut self, theory: &mut Theory, assumptions: &[Lit]) -> bool {
-        self.check(theory, assumptions)
-    }
-}
-
 /// Whether sorted, duplicate-free `needle` is a subset of sorted
 /// `haystack`.
 fn is_sorted_subset(needle: &[usize], haystack: &[usize]) -> bool {
@@ -164,7 +161,7 @@ fn is_sorted_subset(needle: &[usize], haystack: &[usize]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use casekit_logic::prop::parse;
+    use crate::prop::parse;
 
     fn theory_of(srcs: &[&str]) -> Theory {
         let mut t = Theory::new();

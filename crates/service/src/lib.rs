@@ -25,11 +25,11 @@
 //!   ([`recompile`](casekit_core::semantics::ArgumentTheory::recompile)
 //!   reuses every
 //!   unchanged payload's literal verbatim);
-//! * the analysis [`WitnessPool`](casekit_analysis::WitnessPool) —
-//!   the models and UNSAT assumption sets found answering one
-//!   revision's questions keep answering the next revision's (stored
-//!   witnesses bound-check away variables newer than themselves, so
-//!   stale hits are impossible).
+//! * a [`WitnessPool`](casekit_logic::prop::WitnessPool) — the models
+//!   and UNSAT assumption sets found answering one revision's questions
+//!   keep answering the next revision's (stored witnesses bound-check
+//!   away variables newer than themselves, so stale hits are
+//!   impossible).
 //!
 //! **One question plane per revision.** Every solver question
 //! [`CaseSession::answers`] asks — each support step's verdict, the root
@@ -38,7 +38,9 @@
 //! `ArgumentTheory` method
 //! ([`step_question`](casekit_core::semantics::ArgumentTheory::step_question),
 //! [`entailment_question`](casekit_core::semantics::ArgumentTheory::entailment_question))
-//! and answered through the session's one pool. A question two
+//! and answered through the session's one pool. The probe is
+//! [`ArgumentTheory::probe`](casekit_core::semantics::ArgumentTheory::probe),
+//! the same method CaseLint's CK104 reads its idle premises from. A question two
 //! consumers share reaches the CDCL core once. The pool also replaces a
 //! step-verdict cache: recompiling an edited case keeps the literal of
 //! every unchanged payload, so an unchanged step asks the identical
@@ -64,9 +66,11 @@
 //! check, the full CaseLint diagnostic stream, and the premise probe
 //! classification in one pass over the shared compilation, and caches
 //! the bundle until the next edit. Every answer is verdict-identical
-//! to recompiling from scratch ([`batch_answers`]) — the service
-//! proptests and `BENCH_service.json`'s `answers_agree` flag check
-//! exactly that, after every step of random edit scripts.
+//! to recompiling from scratch with fresh pools ([`batch_answers`]) —
+//! the service proptests and `BENCH_service.json`'s `answers_agree`
+//! flag check exactly that, after every step of random edit scripts.
+//! The pool itself is checked against the raw solver, question by
+//! question, by a property test of the workspace.
 //!
 //! **Scale-out.** [`CaseService::drive`] shards per-case traffic
 //! streams across `casekit-runtime` workers
@@ -109,7 +113,7 @@ mod ops;
 mod session;
 
 pub use loader::{CorpusLoader, LoadedCase};
-pub use ops::{CaseAnswers, CaseOp, EditError, EditOp, ProbeAnswer};
+pub use ops::{CaseAnswers, CaseOp, EditError, EditOp};
 pub use session::{batch_answers, batch_transcript, CaseSession, SessionStats};
 
 use casekit_analysis::{check_source, Diagnostic, LintConfig};

@@ -2,9 +2,9 @@
 //! the batched answer bundle.
 
 use casekit_analysis::Diagnostic;
+use casekit_core::semantics::ProbeReport;
 use casekit_core::{ArgumentError, Node, NodeId};
 use casekit_fallacies::checker::MachineReport;
-use casekit_logic::probe::ProbeReport;
 use casekit_logic::prop::Formula;
 use std::fmt;
 
@@ -15,10 +15,8 @@ use std::fmt;
 /// touches no formal content and invalidates only the answer bundle.
 #[derive(Debug, Clone, PartialEq)]
 pub enum EditOp {
-    /// Replace (or install) the propositional payload of a node. This
-    /// is `set_premise` when aimed at a formal leaf and
-    /// `replace_formula` anywhere else — the session makes no
-    /// distinction.
+    /// Replace (or install) the propositional payload of a node, formal
+    /// leaf or not — the session makes no distinction.
     ReplaceFormula {
         /// The node whose payload changes.
         node: NodeId,
@@ -89,37 +87,6 @@ impl From<ArgumentError> for EditError {
     }
 }
 
-/// The premise probe at verdict level: which premises are load-bearing.
-///
-/// Incremental and batch sessions can surface *different* (equally
-/// valid) counterexample valuations for a critical premise, so the
-/// service answers with the classification — entailment plus the
-/// critical/idle partition in premise order — which is the part the
-/// solver's model choices cannot perturb. A live session builds it
-/// straight from entailment verdicts answered through its witness pool;
-/// [`From<&ProbeReport>`](ProbeAnswer::from) reads it off a batch
-/// probe.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProbeAnswer {
-    /// Whether the full premise set entails the conclusion.
-    pub entailed: bool,
-    /// Premise positions (sorted-id order) whose removal breaks
-    /// entailment.
-    pub critical: Vec<usize>,
-    /// Premise positions the conclusion survives without.
-    pub idle: Vec<usize>,
-}
-
-impl From<&ProbeReport> for ProbeAnswer {
-    fn from(report: &ProbeReport) -> Self {
-        ProbeAnswer {
-            entailed: report.entailed,
-            critical: report.critical_indices(),
-            idle: report.idle_indices(),
-        }
-    }
-}
-
 /// The batched multi-question answer for one case revision: everything
 /// the toolkit can say about the argument, from one shared compilation.
 #[derive(Debug, Clone, PartialEq)]
@@ -129,7 +96,8 @@ pub struct CaseAnswers {
     pub machine: MachineReport,
     /// The full CaseLint diagnostic stream, in canonical order.
     pub lint: Vec<Diagnostic>,
-    /// The premise probe classification (`None` when the argument has
-    /// no formal conclusion to probe).
-    pub probe: Option<ProbeAnswer>,
+    /// The premise probe: entailment plus the critical/idle partition
+    /// in premise order (`None` when the argument has no formal
+    /// conclusion to probe).
+    pub probe: Option<ProbeReport>,
 }

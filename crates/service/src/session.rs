@@ -1,12 +1,12 @@
 //! One live case: the argument, its persistent compiled state, and the
 //! witness pool that answers each solver question once.
 
-use crate::ops::{CaseAnswers, EditError, EditOp, ProbeAnswer};
-use casekit_analysis::{lint_argument, lint_compiled_with_pool, LintConfig, WitnessPool};
+use crate::ops::{CaseAnswers, EditError, EditOp};
+use casekit_analysis::{lint_argument, lint_compiled_with_pool, LintConfig};
 use casekit_core::semantics::{probe_argument, ArgumentTheory, PayloadCache};
 use casekit_core::{Argument, Edge, EdgeKind, FormalPayload, Node, NodeId};
-use casekit_fallacies::checker::{check_argument, check_compiled_with};
-use casekit_logic::prop::{Formula, Theory};
+use casekit_fallacies::checker::{check_argument, check_compiled};
+use casekit_logic::prop::{Formula, Theory, WitnessPool};
 
 /// Below this many live payload variables, garbage never triggers a
 /// whole-theory rebuild — tiny cases churn freely without compaction.
@@ -42,7 +42,7 @@ pub struct SessionStats {
 ///
 /// Owns the current [`Argument`] revision plus the compiled state that
 /// persists across edits: the CDCL session (learned clauses included),
-/// the payload-literal cache, and the analysis witness pool every solver
+/// the payload-literal cache, and the witness pool every solver
 /// question goes through. See the crate docs for the soundness argument
 /// behind each retention.
 #[derive(Debug)]
@@ -111,12 +111,6 @@ impl CaseSession {
             .formal = Some(FormalPayload::Prop(formula));
         self.invalidate_logic();
         Ok(())
-    }
-
-    /// [`replace_formula`](Self::replace_formula) on a formal premise
-    /// leaf — same machinery, named for the analyst's common case.
-    pub fn set_premise(&mut self, node: &NodeId, formula: Formula) -> Result<(), EditError> {
-        self.replace_formula(node, formula)
     }
 
     /// Replaces the natural-language statement of `node`. Text is
@@ -211,9 +205,9 @@ impl CaseSession {
                 self.stats.steps_reused += 1;
             }
         }
-        let machine = check_compiled_with(&self.argument, theory, &mut self.pool);
+        let machine = check_compiled(&self.argument, theory, &mut self.pool);
         let lint = lint_compiled_with_pool(&self.argument, theory, &mut self.pool, &self.config);
-        let probe = probe_answer(theory, &mut self.pool);
+        let probe = theory.probe(&mut self.pool);
         let answers = CaseAnswers {
             machine,
             lint,
@@ -269,42 +263,17 @@ impl CaseSession {
     }
 }
 
-/// Rushby's what-if probe at verdict level: the root entailment, then
-/// — when it holds — one drop-probe per premise, asking exactly the
-/// assumption sets CK104 asks, so a linted revision answers them all
-/// from the pool. Equal to [`ProbeAnswer::from`] the valuation-bearing
-/// [`ArgumentTheory::probe`]; `None` without a formal conclusion.
-fn probe_answer(theory: &mut ArgumentTheory, pool: &mut WitnessPool) -> Option<ProbeAnswer> {
-    let mut holds = |theory: &mut ArgumentTheory, skip| {
-        let question = theory.entailment_question(skip)?;
-        Some(!pool.check(theory.theory_mut(), &question))
-    };
-    if !holds(theory, None)? {
-        return Some(ProbeAnswer {
-            entailed: false,
-            critical: Vec::new(),
-            idle: Vec::new(),
-        });
-    }
-    let (idle, critical) =
-        (0..theory.premise_lits().len()).partition(|&i| holds(theory, Some(i)) == Some(true));
-    Some(ProbeAnswer {
-        entailed: true,
-        critical,
-        idle,
-    })
-}
-
 /// The honest from-scratch answer bundle: parse nothing, reuse nothing
 /// — compile the argument fresh for the machine check, fresh for the
-/// lint run, fresh for the probe, exactly as a batch caller would. The
-/// agreement oracle for every incremental answer (and the baseline arm
-/// of `BENCH_service.json`).
+/// lint run, fresh for the probe, each asking through a fresh witness
+/// pool, exactly as a batch caller would. The agreement oracle for
+/// every incremental answer (and the baseline arm of
+/// `BENCH_service.json`).
 pub fn batch_answers(argument: &Argument, config: &LintConfig) -> CaseAnswers {
     CaseAnswers {
         machine: check_argument(argument),
         lint: lint_argument(argument, config),
-        probe: probe_argument(argument).as_ref().map(ProbeAnswer::from),
+        probe: probe_argument(argument),
     }
 }
 

@@ -129,6 +129,28 @@ fn every_variant_of_ten_toggles_answers_like_batch() {
     }
     let stats = service.session(case).unwrap().stats();
     assert!(stats.full_rebuilds >= 1, "no rebuild crossed: {stats:?}");
+    // The questions the walk asks, pinned: a change that asks more, or
+    // answers fewer from the pool, moves these counts.
+    assert_eq!(
+        (
+            stats.edits,
+            stats.queries,
+            stats.recompiles,
+            stats.full_rebuilds
+        ),
+        (1023, 1024, 736, 2),
+        "{stats:?}"
+    );
+    assert_eq!(
+        (
+            stats.steps_checked,
+            stats.steps_reused,
+            stats.cached_answers,
+            stats.solver_calls
+        ),
+        (332, 692, 0, 2348),
+        "{stats:?}"
+    );
     assert_eq!(entailment.len(), 2, "root entailment never flipped");
     for code in [LintCode::QuantifierMismatch, LintCode::DuplicateEvidence] {
         assert!(codes.contains(&code), "{code:?} never raised: {codes:?}");

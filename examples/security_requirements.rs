@@ -5,10 +5,10 @@
 //!
 //! Run with: `cargo run --example security_requirements`
 
+use casekit::core::dsl::parse_argument;
+use casekit::core::semantics::probe_argument;
 use casekit::core::toulmin::ToulminArgument;
 use casekit::logic::nd::Proof;
-use casekit::logic::probe;
-use casekit::logic::prop::parse;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. The outer argument: the paper's exact proof.
@@ -23,17 +23,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("Inner (informal) argument for a trust assumption:\n{inner}");
 
     // 3. Rushby-style probing of the outer premises: which are critical?
-    let premises = vec![
-        parse("I -> V")?,
-        parse("C -> H")?,
-        parse("Y -> V & C")?,
-        parse("D -> Y")?,
-    ];
-    let conclusion = parse("D -> H")?;
-    let report = probe::probe(&premises, &conclusion);
+    //    The outer argument's skeleton as a case: `D -> H` over one
+    //    formal leaf per premise (premise order is node-id order).
+    let premises = ["I -> V", "C -> H", "Y -> V & C", "D -> Y"];
+    let leaves: String = premises
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            format!("goal p{i} \"premise\" formal \"{p}\" {{ solution e{i} \"inner argument\" }}\n")
+        })
+        .collect();
+    let outer = parse_argument(&format!(
+        "argument \"haley-outer\" {{ goal g0 \"satisfied\" formal \"D -> H\" {{ {leaves} }} }}"
+    ))?;
+    let report = probe_argument(&outer).ok_or("the outer argument lacks a formal conclusion")?;
     println!("conclusion entailed: {}", report.entailed);
     for (i, premise) in premises.iter().enumerate() {
-        let status = if report.critical_indices().contains(&i) {
+        let status = if report.critical.contains(&i) {
             "critical"
         } else {
             "idle — candidate red herring, or defence in depth"

@@ -2,7 +2,8 @@
 # `just ci` mirrors the GitHub workflow jobs exactly; `just perf
 # [workload] [seed]` runs one BENCHMARK.json workload end to end, then
 # traced for its per-layer split; `just perf-pairs <parent> [workload]
-# [pairs]` runs alternating parent/change pairs of one workload.
+# [pairs]` runs alternating parent/change pairs of one workload; `just
+# loc` counts product lines of code.
 
 # Format, lint, test, regenerate every BENCH_*.json, run the smoke
 # bench gate, then the perfbench correctness smoke.
@@ -104,6 +105,11 @@ perf workload="ingest" seed="1":
 # that is not correct with zero failed ops.
 perf-pairs parent workload="session" pairs="10":
     ./scripts/perf_pairs.sh {{parent}} {{workload}} {{pairs}}
+
+# Product lines of code per crate and in total, by the ROADMAP's
+# method, with and without in-file test modules.
+loc:
+    ./scripts/loc.sh
 
 # Rustdoc for the workspace with warnings denied (the CI docs job).
 docs:

@@ -353,6 +353,83 @@ proptest! {
     }
 }
 
+// ---------------------------------------------------------------------------
+// The witness pool answers exactly what the solver answers. Every batch
+// caller (the machine checker, the what-if probe, the lint passes, the
+// case service and its from-scratch agreement oracle) asks through a
+// pool, so the pool is checked question by question against the raw
+// session here.
+// ---------------------------------------------------------------------------
+
+/// Strategy: arbitrary propositional formulas over an 8-atom alphabet.
+fn eight_atom_formula_strategy() -> impl Strategy<Value = Formula> {
+    let atom = prop_oneof![
+        Just("a"),
+        Just("b"),
+        Just("c"),
+        Just("d"),
+        Just("e"),
+        Just("f"),
+        Just("g"),
+        Just("h"),
+    ]
+    .prop_map(Formula::atom);
+    let leaf = prop_oneof![Just(Formula::True), Just(Formula::False), atom];
+    leaf.prop_recursive(4, 32, 2, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(|f| f.not()),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.implies(b)),
+            (inner.clone(), inner).prop_map(|(a, b)| a.iff(b)),
+        ]
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn witness_pool_answers_like_the_solver(
+        stages in collection::vec(
+            (
+                collection::vec(eight_atom_formula_strategy(), 1..4),
+                collection::vec(collection::vec((0usize..64, 0u8..2), 1..6), 1..6),
+            ),
+            1..5,
+        ),
+    ) {
+        // One theory compiled in stages, as `ArgumentTheory::recompile`
+        // grows a live case: new definitions arrive between batches of
+        // questions, so later questions reach variables newer than the
+        // witnesses stored before them.
+        let mut theory = prop::Theory::new();
+        let mut pool = prop::WitnessPool::new();
+        let mut lits: Vec<prop::Lit> = Vec::new();
+        let mut asked = 0;
+        for (stage, (formulas, questions)) in stages.iter().enumerate() {
+            lits.extend(formulas.iter().map(|f| theory.formula_lit(f)));
+            for question in questions {
+                let assumptions: Vec<prop::Lit> = question
+                    .iter()
+                    .map(|&(i, positive)| {
+                        let lit = lits[i % lits.len()];
+                        if positive == 1 { lit } else { !lit }
+                    })
+                    .collect();
+                let pooled = pool.check(&mut theory, &assumptions);
+                asked += 1;
+                prop_assert_eq!(
+                    pooled,
+                    theory.check_under(assumptions.iter().copied()),
+                    "stage {} question {:?} of {:?}", stage, question, stages
+                );
+            }
+        }
+        prop_assert_eq!(pool.solver_calls() + pool.witness_hits(), asked);
+    }
+}
+
 // Pattern instantiation is closed over GSN well-formedness for arbitrary
 // hazard lists.
 proptest! {
