@@ -70,7 +70,7 @@ mod structural;
 
 pub use casekit_logic::prop::WitnessPool;
 pub use diagnostic::{Diagnostic, Level, LintCode, LintConfig, LintDescriptor, PassKind, Severity};
-pub use source::{check_source, check_sources, check_syntax, excerpt, SourceAnalysis};
+pub use source::{check_source, check_syntax, excerpt, SourceAnalysis};
 
 use casekit_core::dsl::parse_argument;
 use casekit_core::semantics::ArgumentTheory;

@@ -15,7 +15,6 @@ use crate::diagnostic::{Diagnostic, LintCode, LintConfig, Sink};
 use casekit_core::dsl::{parse_argument_recovering, DslError, SourceMap};
 use casekit_core::Argument;
 use casekit_logic::{LineIndex, Span, SyntaxErrorKind};
-use casekit_runtime::Runtime;
 
 /// Everything the source-plane pipeline recovers from one `.case` text:
 /// the argument (when enough of the file parsed to build one), the span
@@ -38,6 +37,26 @@ impl SourceAnalysis {
     /// True when no diagnostics were emitted at all.
     pub fn is_clean(&self) -> bool {
         self.diagnostics.is_empty()
+    }
+
+    /// Merges `graph`, the lint stream of the recovered argument, into
+    /// the syntax stream: each finding is anchored to its primary node's
+    /// identifier span (else the argument name, else the file start), and
+    /// the stream is put back in canonical order.
+    pub fn with_graph(mut self, graph: Vec<Diagnostic>) -> Self {
+        for mut diagnostic in graph {
+            let anchor = diagnostic
+                .primary
+                .as_ref()
+                .and_then(|id| self.source_map.node(id))
+                .map(|spans| spans.id)
+                .or(self.source_map.name);
+            diagnostic.span = Some(anchor.unwrap_or(Span::point(0)));
+            self.diagnostics.push(diagnostic);
+        }
+        self.diagnostics
+            .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        self
     }
 }
 
@@ -80,25 +99,22 @@ fn code_for(kind: SyntaxErrorKind) -> LintCode {
 /// assert!(analysis.diagnostics.iter().all(|d| d.span.is_some()));
 /// ```
 pub fn check_source(src: &str, config: &LintConfig) -> SourceAnalysis {
-    let mut analysis = check_syntax(src, config);
-    if let Some(argument) = &analysis.argument {
-        let mut graph = crate::lint_argument(argument, config);
-        for diagnostic in &mut graph {
-            diagnostic.span = Some(anchor(diagnostic, &analysis.source_map));
+    let analysis = check_syntax(src, config);
+    match &analysis.argument {
+        Some(argument) => {
+            let graph = crate::lint_argument(argument, config);
+            analysis.with_graph(graph)
         }
-        analysis.diagnostics.extend(graph);
-        analysis
-            .diagnostics
-            .sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+        None => analysis,
     }
-    analysis
 }
 
 /// The syntax half of [`check_source`]: runs the recovering parser and
 /// converts its errors into `CK2xx` diagnostics, but does **not** lint
 /// the recovered argument. This is the corpus-ingestion fast path — the
 /// service's `CorpusLoader` uses it to shard parsing across workers
-/// without paying for a solver session per file.
+/// without paying for a solver session per file. `CaseService::open_source`
+/// parses with it too, and lints through the session it opens.
 pub fn check_syntax(src: &str, config: &LintConfig) -> SourceAnalysis {
     let outcome = parse_argument_recovering(src);
     let mut sink = Sink::new(config);
@@ -117,30 +133,6 @@ pub fn check_syntax(src: &str, config: &LintConfig) -> SourceAnalysis {
         source_map: outcome.source_map,
         diagnostics,
     }
-}
-
-/// The span a graph diagnostic anchors to: its primary node's
-/// identifier, else the argument-name span, else the start of the file.
-fn anchor(diagnostic: &Diagnostic, map: &SourceMap) -> Span {
-    diagnostic
-        .primary
-        .as_ref()
-        .and_then(|id| map.node(id))
-        .map(|spans| spans.id)
-        .or(map.name)
-        .unwrap_or(Span::point(0))
-}
-
-/// [`check_source`] over a corpus, sharded across the runtime's
-/// workers. Output is index-aligned with `sources` and byte-identical
-/// at any worker count: the per-file analysis is a pure function and
-/// [`Runtime::map`] preserves order.
-pub fn check_sources(
-    sources: &[String],
-    config: &LintConfig,
-    runtime: &Runtime,
-) -> Vec<SourceAnalysis> {
-    runtime.map(sources, |_, src| check_source(src, config))
 }
 
 /// Renders a two-line caret excerpt for `span`: the source line it
@@ -253,32 +245,6 @@ mod tests {
         let config = LintConfig::allow_all();
         let analysis = check_source("argument \"a\" {\n  gaol g1 \"x\"\n}\n", &config);
         assert!(analysis.diagnostics.is_empty());
-    }
-
-    #[test]
-    fn sharded_corpus_is_worker_invariant() {
-        let sources: Vec<String> = (0..24)
-            .map(|i| {
-                if i % 3 == 0 {
-                    format!("argument \"c{i}\" {{\n  gaol g1 \"typo\"\n  goal g2 \"ok\" {{ solution e1 \"x\" }}\n}}\n")
-                } else {
-                    format!("argument \"c{i}\" {{\n  goal g1 \"top\" {{ solution e1 \"x\" }}\n}}\n")
-                }
-            })
-            .collect();
-        let config = LintConfig::new();
-        let serial: Vec<Vec<Diagnostic>> = sources
-            .iter()
-            .map(|s| check_source(s, &config).diagnostics)
-            .collect();
-        for workers in [1, 2, 4] {
-            let runtime = Runtime::with_workers(workers);
-            let sharded: Vec<Vec<Diagnostic>> = check_sources(&sources, &config, &runtime)
-                .into_iter()
-                .map(|a| a.diagnostics)
-                .collect();
-            assert_eq!(sharded, serial, "workers={workers}");
-        }
     }
 
     #[test]

@@ -62,6 +62,12 @@
 //! is always sound and bounds memory growth under heavy editing. The
 //! first query after it pays every question again.
 //!
+//! **Opening.** [`CaseService::open`] defers compilation to the first
+//! query. A session opened from text with [`CaseService::open_source`]
+//! starts compiled, with a warm pool and a cached answer bundle: its
+//! lint stream is the diagnostics `open_source` returns, so the case is
+//! compiled and each question asked once.
+//!
 //! **Batched questions.** [`CaseSession::answers`] returns the machine
 //! check, the full CaseLint diagnostic stream, and the premise probe
 //! classification in one pass over the shared compilation, and caches
@@ -116,7 +122,7 @@ pub use loader::{CorpusLoader, LoadedCase};
 pub use ops::{CaseAnswers, CaseOp, EditError, EditOp};
 pub use session::{batch_answers, batch_transcript, CaseSession, SessionStats};
 
-use casekit_analysis::{check_source, Diagnostic, LintConfig};
+use casekit_analysis::{check_syntax, Diagnostic, LintConfig};
 use casekit_core::Argument;
 use casekit_runtime::Runtime;
 
@@ -158,13 +164,23 @@ impl CaseService {
     /// Returns the new case index when enough of the file parsed to
     /// build an argument (even if it carried recoverable errors), plus
     /// the full span-carrying diagnostic stream — syntax (`CK2xx`) and
-    /// graph/solver findings — under this service's lint configuration.
+    /// graph/solver findings — under this service's lint configuration,
+    /// byte-identical to [`check_source`](casekit_analysis::check_source).
     /// A file too broken to yield an argument returns `(None, ...)` and
     /// opens nothing.
+    ///
+    /// The case is compiled once: the new session builds its first
+    /// answer bundle at open, and the graph findings are that bundle's
+    /// lint stream, so the first [`answers`](Self::answers) is served
+    /// from the cached bundle and asks the solver nothing.
     pub fn open_source(&mut self, src: &str) -> (Option<usize>, Vec<Diagnostic>) {
-        let analysis = check_source(src, &self.config);
-        let case = analysis.argument.map(|argument| self.open(argument));
-        (case, analysis.diagnostics)
+        let mut analysis = check_syntax(src, &self.config);
+        let Some(argument) = analysis.argument.take() else {
+            return (None, analysis.diagnostics);
+        };
+        let case = self.open(argument);
+        let graph = self.sessions[case].answers().lint;
+        (Some(case), analysis.with_graph(graph).diagnostics)
     }
 
     /// Number of open sessions.

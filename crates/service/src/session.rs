@@ -19,7 +19,8 @@ const COMPACTION_FLOOR: usize = 256;
 pub struct SessionStats {
     /// Edits applied (including text-only edits).
     pub edits: u64,
-    /// Queries answered (cached or computed).
+    /// Queries answered (cached or computed); `open_source` counts one
+    /// computed query, the bundle it builds.
     pub queries: u64,
     /// Incremental recompiles performed (one per edited-then-queried
     /// burst, not one per edit).
@@ -30,7 +31,8 @@ pub struct SessionStats {
     pub steps_checked: u64,
     /// Support-step verdicts the witness pool answered without it.
     pub steps_reused: u64,
-    /// Queries answered entirely from the cached answer bundle.
+    /// Queries answered entirely from the cached answer bundle, such as
+    /// the first `answers` after `open_source`.
     pub cached_answers: u64,
     /// CDCL calls the session's witness pool paid, over every question
     /// [`CaseSession::answers`] asked (step verdicts, root entailment,

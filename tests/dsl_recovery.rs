@@ -7,11 +7,14 @@
 //! on invalid ones. Inputs are valid generated corpora plus truncations,
 //! point mutations, and keyword-soup concatenations of them, and deep
 //! shapes at, around and far past the nesting bound, parsed on a 2 MiB
-//! stack.
+//! stack. Truncated and mutated sources also open through
+//! `CaseService::open_source` exactly as `check_source` reads them.
 
+use casekit::analysis::{check_source, LintConfig};
 use casekit::core::dsl::{parse_argument_recovering, parse_argument_seed, ParseOutcome};
 use casekit::core::Argument;
 use casekit::logic::{SyntaxErrorKind, MAX_DEPTH};
+use casekit::service::{batch_answers, CaseService};
 use proptest::prelude::*;
 
 const KINDS: [&str; 9] = [
@@ -228,6 +231,61 @@ fn deep_shapes_recover_on_a_small_stack() {
         .expect("no panic");
 }
 
+/// The characters a point mutation inserts or writes over.
+fn mutation_char() -> impl Strategy<Value = char> {
+    prop_oneof![
+        Just('"'),
+        Just('{'),
+        Just('}'),
+        Just('#'),
+        Just('\\'),
+        Just('$'),
+        Just('q'),
+        Just('9'),
+        Just(' '),
+        Just('é'),
+        Just('☃'),
+        Just('\u{a0}'),
+        Just('\u{2028}'),
+        Just('\r'),
+        Just('/'),
+    ]
+}
+
+/// `src` with one character inserted (`op` 0), deleted (1) or replaced
+/// (2) at the character boundary at or before `pos`.
+fn mutate(src: &str, pos: usize, op: usize, ch: char) -> String {
+    let at = floor_boundary(src, pos % (src.len() + 1));
+    match op {
+        0 => format!("{}{}{}", &src[..at], ch, &src[at..]),
+        1 if at < src.len() => {
+            let next = floor_boundary(src, at + 1).max(at + 1);
+            format!("{}{}", &src[..at], &src[next.min(src.len())..])
+        }
+        _ if at < src.len() => {
+            let next = floor_boundary(src, at + 1).max(at + 1);
+            format!("{}{}{}", &src[..at], ch, &src[next.min(src.len())..])
+        }
+        _ => format!("{src}{ch}"),
+    }
+}
+
+/// `CaseService::open_source` returns `check_source`'s diagnostics on
+/// `src`, opens a case exactly when `check_source` recovers an argument,
+/// and that case's answers equal `batch_answers`.
+fn opens_as_checked(src: &str) {
+    let config = LintConfig::new();
+    let checked = check_source(src, &config);
+    let mut service = CaseService::new();
+    let (case, diagnostics) = service.open_source(src);
+    assert_eq!(diagnostics, checked.diagnostics, "on {src:?}");
+    assert_eq!(case.is_some(), checked.argument.is_some(), "on {src:?}");
+    if let (Some(case), Some(argument)) = (case, &checked.argument) {
+        let answers = service.answers(case).expect("the case is open");
+        assert_eq!(answers, batch_answers(argument, &config), "on {src:?}");
+    }
+}
+
 fn fragment() -> impl Strategy<Value = &'static str> {
     prop_oneof![
         Just("argument"),
@@ -282,34 +340,28 @@ proptest! {
         specs in corpus(),
         pos in 0..10_000usize,
         op in 0..3usize,
-        ch in prop_oneof![
-            Just('"'), Just('{'), Just('}'), Just('#'), Just('\\'),
-            Just('$'), Just('q'), Just('9'), Just(' '),
-            Just('é'), Just('☃'), Just('\u{a0}'), Just('\u{2028}'),
-            Just('\r'), Just('/'),
-        ],
+        ch in mutation_char(),
     ) {
-        let src = render(&specs);
-        let at = floor_boundary(&src, pos % (src.len() + 1));
-        let mutated = match op {
-            // Insert, delete, or replace one character.
-            0 => format!("{}{}{}", &src[..at], ch, &src[at..]),
-            1 if at < src.len() => {
-                let next = floor_boundary(&src, at + 1).max(at + 1);
-                format!("{}{}", &src[..at], &src[next.min(src.len())..])
-            }
-            _ if at < src.len() => {
-                let next = floor_boundary(&src, at + 1).max(at + 1);
-                format!("{}{}{}", &src[..at], ch, &src[next.min(src.len())..])
-            }
-            _ => format!("{src}{ch}"),
-        };
-        check_invariants(&mutated);
+        check_invariants(&mutate(&render(&specs), pos, op, ch));
     }
 
     #[test]
     fn keyword_soup_never_panics(frags in collection::vec(fragment(), 0..40)) {
         let src = frags.join(" ");
         check_invariants(&src);
+    }
+
+    #[test]
+    fn damaged_sources_open_as_they_check(
+        specs in corpus(),
+        cut in 0..10_000usize,
+        pos in 0..10_000usize,
+        op in 0..3usize,
+        ch in mutation_char(),
+    ) {
+        let src = render(&specs);
+        let cut = floor_boundary(&src, cut % (src.len() + 1));
+        opens_as_checked(&src[..cut]);
+        opens_as_checked(&mutate(&src, pos, op, ch));
     }
 }
