@@ -89,6 +89,16 @@ pub fn formal_conclusion(argument: &Argument) -> Option<&Formula> {
         })
 }
 
+/// The propositional payloads of `argument`, in arena order.
+fn prop_payloads(argument: &Argument) -> impl Iterator<Item = (NodeIdx, &Formula)> {
+    argument
+        .node_indices()
+        .filter_map(|idx| match &argument.node_at(idx).formal {
+            Some(FormalPayload::Prop(f)) => Some((idx, f)),
+            _ => None,
+        })
+}
+
 /// Formalised children supporting `step`, depth first in child order,
 /// through the unformalised strategies GSN interposes between goals.
 /// `seen` has one slot per node and is shared by every walk of a pass;
@@ -127,17 +137,26 @@ fn formalised_support_children(
 
 /// Per-node memo of compiled payload literals for
 /// [`ArgumentTheory::recompile`]: which formula each node last compiled
-/// to, the packed literal it received, and what that compilation cost
-/// in fresh solver variables (the garbage left behind if the payload is
-/// later replaced or the node removed).
+/// to, the packed literal it received, and what that compilation cost:
+/// the new atoms plus every definition the payload spans, fresh or
+/// shared (the garbage counted if the payload is later replaced or the
+/// node removed).
+///
+/// A retired payload's definitions may still back a live payload that
+/// shares them, or come back when a later edit restores the formula
+/// ([`Theory::formula_lit`] keeps one definition per distinct
+/// connective), so the garbage cost is an upper bound on the clauses
+/// nothing references. It counts what a compiler with one definition
+/// per occurrence would have stranded, which keeps the session's
+/// whole-theory rebuild schedule independent of how much is shared.
 #[derive(Debug, Clone, Default)]
 pub struct PayloadCache {
     entries: HashMap<NodeId, CachedPayload>,
-    /// Solver variables spent on payloads since retired — definitional
-    /// clauses nothing references, carried by the session as dead
-    /// weight until whole-theory invalidation compacts them.
+    /// Cost of payloads since retired — an upper bound on the
+    /// definitional clauses nothing references, carried by the session
+    /// as dead weight until whole-theory invalidation compacts them.
     garbage: usize,
-    /// Solver variables backing currently-live payloads.
+    /// Cost of currently-live payloads.
     live: usize,
 }
 
@@ -159,20 +178,27 @@ impl PayloadCache {
         self.entries.is_empty()
     }
 
-    /// Solver variables backing retired payloads (dead definitional
-    /// clauses accumulated across edits).
+    /// Definitions spanned by retired payloads, shared or not (an upper
+    /// bound on the dead definitional clauses accumulated across edits).
     pub fn garbage_cost(&self) -> usize {
         self.garbage
     }
 
-    /// Solver variables backing live payloads.
+    /// Definitions spanned by live payloads, shared or not.
     pub fn live_cost(&self) -> usize {
         self.live
     }
 
-    /// The literal for `id`'s payload, reusing the cached compilation
-    /// when the formula is unchanged and compiling a fresh definition
-    /// otherwise.
+    /// The cached literal for `id`'s payload, when the formula is the
+    /// one it last compiled.
+    fn cached(&self, id: &NodeId, formula: &Formula) -> Option<Lit> {
+        self.entries
+            .get(id)
+            .filter(|entry| entry.formula == *formula)
+            .map(|entry| entry.lit)
+    }
+
+    /// Compiles `id`'s changed or new payload and caches its literal.
     fn lit_for(
         &mut self,
         theory: &mut Theory,
@@ -180,15 +206,13 @@ impl PayloadCache {
         formula: &Formula,
         stats: &mut RecompileStats,
     ) -> Lit {
-        if let Some(entry) = self.entries.get(id) {
-            if entry.formula == *formula {
-                stats.reused_payloads += 1;
-                return entry.lit;
-            }
-        }
-        let before = theory.num_vars();
+        // The cost counts shared definitions as if fresh: what one
+        // definition per occurrence would allocate, so sharing never
+        // moves a whole-theory rebuild.
+        let spanned = |theory: &Theory| theory.num_vars() + theory.shared_definitions();
+        let before = spanned(theory);
         let lit = theory.formula_lit(formula);
-        let cost = theory.num_vars() - before;
+        let cost = spanned(theory) - before;
         stats.fresh_payloads += 1;
         self.live += cost;
         if let Some(old) = self.entries.insert(
@@ -229,7 +253,10 @@ impl PayloadCache {
 /// What one [`ArgumentTheory::recompile`] round did: how much of the
 /// previous compilation survived, and how much dead weight the session
 /// is carrying. `garbage_cost / max(1, live_cost)` is the natural
-/// compaction trigger.
+/// compaction trigger. Both costs count the definitions a payload spans,
+/// shared or not (see [`PayloadCache`]), so `garbage_cost` is an upper
+/// bound on the stranded clauses, kept so the rebuild schedule does not
+/// depend on sharing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct RecompileStats {
     /// Payloads whose cached literal was reused unchanged.
@@ -241,9 +268,9 @@ pub struct RecompileStats {
     pub retired_payloads: u32,
     /// Total solver variables after this round.
     pub num_vars: usize,
-    /// Cumulative variables backing retired payloads.
+    /// Cumulative definitions spanned by retired payloads.
     pub garbage_cost: usize,
-    /// Variables backing live payloads.
+    /// Definitions spanned by live payloads.
     pub live_cost: usize,
 }
 
@@ -320,12 +347,11 @@ impl ArgumentTheory {
     /// every subsequent question is solver work.
     pub fn compile(argument: &Argument) -> Self {
         let mut theory = Theory::new();
+        theory.reserve_definitions(prop_payloads(argument).map(|(_, f)| f));
         // Payload literal per arena slot, compiled in arena order.
         let mut lits: Vec<Option<Lit>> = vec![None; argument.len()];
-        for idx in argument.node_indices() {
-            if let Some(FormalPayload::Prop(f)) = &argument.node_at(idx).formal {
-                lits[idx.index()] = Some(theory.formula_lit(f));
-            }
+        for (idx, f) in prop_payloads(argument) {
+            lits[idx.index()] = Some(theory.formula_lit(f));
         }
         Self::assemble(argument, theory, &lits)
     }
@@ -339,17 +365,20 @@ impl ArgumentTheory {
     /// [`into_theory`](Self::into_theory)) and `cache` maps node ids to
     /// the literal their payload compiled to last time. Unchanged
     /// payloads keep their literals without touching the Tseitin
-    /// compiler; changed or new payloads pay exactly their own
-    /// compilation delta. Because payloads are compiled as
+    /// compiler; changed or new payloads pay only for the definitions
+    /// the theory does not hold yet, so a payload restored to a formula
+    /// compiled before, or one sharing a sub-formula with another,
+    /// gets the old literals back. Because payloads are compiled as
     /// *definitional* biconditionals (never asserted), the clause
     /// database only ever grows, so everything the solver learned
     /// answering earlier revisions' questions remains a consequence and
-    /// keeps accelerating future checks. Retired payloads leave their
-    /// (unreferenced, non-constraining) definition clauses behind as
-    /// garbage; the returned [`RecompileStats`] report the accumulated
-    /// garbage so callers can fall back to whole-theory invalidation —
-    /// a fresh [`compile`](Self::compile) with an empty cache — when
-    /// compaction is worth more than the retained learning.
+    /// keeps accelerating future checks. Retired payloads may leave
+    /// their (unreferenced, non-constraining) definition clauses behind
+    /// as garbage; the returned [`RecompileStats`] report the
+    /// accumulated garbage cost so callers can fall back to
+    /// whole-theory invalidation — a fresh [`compile`](Self::compile)
+    /// with an empty cache — when compaction is worth more than the
+    /// retained learning.
     ///
     /// Passing a fresh `Theory` and an empty cache is exactly
     /// [`compile`](Self::compile) (same literal numbering, same
@@ -363,11 +392,20 @@ impl ArgumentTheory {
         let mut theory = theory;
         let mut stats = RecompileStats::default();
         let mut lits: Vec<Option<Lit>> = vec![None; argument.len()];
-        for idx in argument.node_indices() {
-            if let Some(FormalPayload::Prop(f)) = &argument.node_at(idx).formal {
-                let id = argument.id_at(idx);
-                lits[idx.index()] = Some(cache.lit_for(&mut theory, id, f, &mut stats));
+        let mut fresh = Vec::new();
+        for (idx, f) in prop_payloads(argument) {
+            match cache.cached(argument.id_at(idx), f) {
+                Some(lit) => {
+                    stats.reused_payloads += 1;
+                    lits[idx.index()] = Some(lit);
+                }
+                None => fresh.push((idx, f)),
             }
+        }
+        theory.reserve_definitions(fresh.iter().map(|&(_, f)| f));
+        for (idx, f) in fresh {
+            let id = argument.id_at(idx);
+            lits[idx.index()] = Some(cache.lit_for(&mut theory, id, f, &mut stats));
         }
         cache.retire_missing(argument, &mut stats);
         stats.num_vars = theory.num_vars();
@@ -911,15 +949,20 @@ mod tests {
         // Break the rule premise: g2 now says p -> r, so q is no longer
         // entailed.
         a.node_mut(&"g2".into()).unwrap().formal = Some(payload("p -> r"));
-        let (mut inc, stats) = ArgumentTheory::recompile(&a, inc.into_theory(), &mut cache);
-        assert_eq!(stats.reused_payloads, 2);
-        assert_eq!(stats.fresh_payloads, 1);
-        assert!(stats.garbage_cost > 0, "replaced payload leaves garbage");
+        let (mut inc, broken) = ArgumentTheory::recompile(&a, inc.into_theory(), &mut cache);
+        assert_eq!(broken.reused_payloads, 2);
+        assert_eq!(broken.fresh_payloads, 1);
+        assert!(broken.garbage_cost > 0, "replaced payload leaves garbage");
         assert_eq!(inc.root_entailed(), Some(false));
-        // Restore it; the verdict round-trips on the same session.
+        // Restore it; the verdict round-trips on the same session. The
+        // rule gets its old literal back, yet the retired `p -> r`
+        // still counts as garbage: a cost counts every definition a
+        // payload spans.
         a.node_mut(&"g2".into()).unwrap().formal = Some(payload("p -> q"));
         let (mut inc, stats) = ArgumentTheory::recompile(&a, inc.into_theory(), &mut cache);
         assert_eq!(stats.fresh_payloads, 1);
+        assert_eq!(stats.num_vars, broken.num_vars);
+        assert!(stats.garbage_cost > broken.garbage_cost);
         assert_eq!(inc.root_entailed(), Some(true));
         assert_eq!(inc.probe(&mut WitnessPool::new()), probe_argument(&a));
     }

@@ -71,6 +71,7 @@ use super::cnf::ClauseSet;
 use super::eval::Valuation;
 use super::intern::{AtomTable, Lit, Var};
 use analyze::{Analyzer, ImplicationGraph};
+use std::collections::hash_map::{Entry, HashMap};
 use vsids::Vsids;
 
 /// Reason sentinel: the variable was a decision (or an assumption, or a
@@ -867,11 +868,12 @@ impl Solver {
 /// A compiled propositional theory: an [`AtomTable`], a [`Solver`], and
 /// a Tseitin compiler from [`Formula`]s straight to packed literals.
 ///
-/// Every sub-formula is defined by a fresh variable with full
-/// biconditional definition clauses, so the returned literal is
-/// *equivalent* to the formula in every model — which makes both the
-/// literal and its negation usable as assumptions. That is what turns
-/// entailment probing into a session over one clause database:
+/// Every distinct binary connective over operand literals is defined by
+/// one variable with full biconditional definition clauses, so the
+/// returned literal is *equivalent* to the formula in every model —
+/// which makes both the literal and its negation usable as assumptions.
+/// That is what turns entailment probing into a session over one clause
+/// database:
 ///
 /// ```
 /// use casekit_logic::prop::{parse, solver::Theory};
@@ -886,6 +888,10 @@ impl Solver {
 /// assert!(!th.check());
 /// th.retract(); // drop ~q: the premises alone are consistent
 /// assert!(th.check());
+/// // A formula compiled before keeps its literal and adds nothing.
+/// let vars = th.num_vars();
+/// assert_eq!(th.formula_lit(&parse("p -> q").unwrap()), rule);
+/// assert_eq!(th.num_vars(), vars);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Theory {
@@ -893,6 +899,39 @@ pub struct Theory {
     atoms: AtomTable,
     /// Lazily created constant-true variable.
     true_lit: Option<Lit>,
+    /// The definition table, one map per [`Connective`]: the literal
+    /// defined for the connective over an operand pair, keyed by both
+    /// operand codes side by side (exact, since a code is 32 bits).
+    /// std's keyed hasher stays because formula shape is user input.
+    definitions: [HashMap<u64, Lit>; 4],
+    /// Connective occurrences answered from `definitions` (cumulative).
+    shared: usize,
+}
+
+/// The binary connectives, each an index into [`Theory`]'s definition
+/// table.
+#[derive(Clone, Copy)]
+enum Connective {
+    And,
+    Or,
+    Implies,
+    Iff,
+}
+
+/// Adds the binary connectives of `formula` to `counts`, one slot per
+/// [`Connective`].
+fn count_connectives(formula: &Formula, counts: &mut [usize; 4]) {
+    let (op, l, r) = match formula {
+        Formula::True | Formula::False | Formula::Atom(_) => return,
+        Formula::Not(inner) => return count_connectives(inner, counts),
+        Formula::And(l, r) => (Connective::And, l, r),
+        Formula::Or(l, r) => (Connective::Or, l, r),
+        Formula::Implies(l, r) => (Connective::Implies, l, r),
+        Formula::Iff(l, r) => (Connective::Iff, l, r),
+    };
+    counts[op as usize] += 1;
+    count_connectives(l, counts);
+    count_connectives(r, counts);
 }
 
 impl Theory {
@@ -926,6 +965,27 @@ impl Theory {
         self.solver.num_learned()
     }
 
+    /// Connective occurrences [`formula_lit`](Self::formula_lit) has
+    /// answered with an existing definition instead of a fresh variable
+    /// (cumulative). Fresh variables plus shared definitions is what a
+    /// compiler with one definition per occurrence would allocate.
+    pub fn shared_definitions(&self) -> usize {
+        self.shared
+    }
+
+    /// Sizes the definition table for compiling `formulas`: room for
+    /// one new definition per binary connective they contain, so the
+    /// compile that follows never rehashes.
+    pub fn reserve_definitions<'a>(&mut self, formulas: impl IntoIterator<Item = &'a Formula>) {
+        let mut counts = [0; 4];
+        for formula in formulas {
+            count_connectives(formula, &mut counts);
+        }
+        for (table, count) in self.definitions.iter_mut().zip(counts) {
+            table.reserve(count);
+        }
+    }
+
     /// The positive literal for `atom`, interning it on first sight.
     pub fn atom_lit(&mut self, atom: &Atom) -> Lit {
         let solver = &mut self.solver;
@@ -945,54 +1005,68 @@ impl Theory {
 
     /// Compiles `formula` to an equivalent literal, adding Tseitin
     /// definition clauses (full biconditionals) to the database.
+    ///
+    /// There is one definition per distinct connective over operand
+    /// literals, not one per occurrence: a formula or sub-formula this
+    /// theory compiled before, in this call or an earlier one, gets its
+    /// old literal back and adds no variable or clause.
     pub fn formula_lit(&mut self, formula: &Formula) -> Lit {
         match formula {
             Formula::True => self.constant_true(),
             Formula::False => !self.constant_true(),
             Formula::Atom(a) => self.atom_lit(a),
             Formula::Not(inner) => !self.formula_lit(inner),
-            Formula::And(l, r) => {
-                let a = self.formula_lit(l);
-                let b = self.formula_lit(r);
-                let x = self.solver.new_var().positive();
+            Formula::And(l, r) => self.define(Connective::And, l, r),
+            Formula::Or(l, r) => self.define(Connective::Or, l, r),
+            Formula::Implies(l, r) => self.define(Connective::Implies, l, r),
+            Formula::Iff(l, r) => self.define(Connective::Iff, l, r),
+        }
+    }
+
+    /// The literal for `l op r`: the table's, or a fresh variable with
+    /// its definition clauses.
+    fn define(&mut self, op: Connective, l: &Formula, r: &Formula) -> Lit {
+        let a = self.formula_lit(l);
+        let b = self.formula_lit(r);
+        let key = u64::from(a.0) << 32 | u64::from(b.0);
+        let slot = match self.definitions[op as usize].entry(key) {
+            Entry::Occupied(known) => {
+                self.shared += 1;
+                return *known.get();
+            }
+            Entry::Vacant(slot) => slot,
+        };
+        let x = self.solver.new_var().positive();
+        slot.insert(x);
+        let solver = &mut self.solver;
+        match op {
+            Connective::And => {
                 // x <-> a & b
-                self.solver.add_clause(&[!x, a]);
-                self.solver.add_clause(&[!x, b]);
-                self.solver.add_clause(&[x, !a, !b]);
-                x
+                solver.add_clause(&[!x, a]);
+                solver.add_clause(&[!x, b]);
+                solver.add_clause(&[x, !a, !b]);
             }
-            Formula::Or(l, r) => {
-                let a = self.formula_lit(l);
-                let b = self.formula_lit(r);
-                let x = self.solver.new_var().positive();
+            Connective::Or => {
                 // x <-> a | b
-                self.solver.add_clause(&[!x, a, b]);
-                self.solver.add_clause(&[x, !a]);
-                self.solver.add_clause(&[x, !b]);
-                x
+                solver.add_clause(&[!x, a, b]);
+                solver.add_clause(&[x, !a]);
+                solver.add_clause(&[x, !b]);
             }
-            Formula::Implies(l, r) => {
-                let a = self.formula_lit(l);
-                let b = self.formula_lit(r);
-                let x = self.solver.new_var().positive();
+            Connective::Implies => {
                 // x <-> (a -> b)
-                self.solver.add_clause(&[!x, !a, b]);
-                self.solver.add_clause(&[x, a]);
-                self.solver.add_clause(&[x, !b]);
-                x
+                solver.add_clause(&[!x, !a, b]);
+                solver.add_clause(&[x, a]);
+                solver.add_clause(&[x, !b]);
             }
-            Formula::Iff(l, r) => {
-                let a = self.formula_lit(l);
-                let b = self.formula_lit(r);
-                let x = self.solver.new_var().positive();
+            Connective::Iff => {
                 // x <-> (a <-> b)
-                self.solver.add_clause(&[!x, !a, b]);
-                self.solver.add_clause(&[!x, a, !b]);
-                self.solver.add_clause(&[x, a, b]);
-                self.solver.add_clause(&[x, !a, !b]);
-                x
+                solver.add_clause(&[!x, !a, b]);
+                solver.add_clause(&[!x, a, !b]);
+                solver.add_clause(&[x, a, b]);
+                solver.add_clause(&[x, !a, !b]);
             }
         }
+        x
     }
 
     /// Asserts `formula` (adds its literal as a unit clause).
@@ -1461,6 +1535,80 @@ mod tests {
         assert!(th.check());
         let model = th.model(f.atoms().iter());
         assert!(!f.eval(&model), "negated definition still satisfied f");
+    }
+
+    #[test]
+    fn compiling_a_formula_twice_returns_one_literal_and_adds_nothing() {
+        let mut th = Theory::new();
+        let f = parse("(p & q) -> (r <-> ~s) | p").unwrap();
+        let lit = th.formula_lit(&f);
+        let (vars, clauses) = (th.num_vars(), th.num_clauses());
+        assert_eq!(th.formula_lit(&f), lit);
+        assert_eq!((th.num_vars(), th.num_clauses()), (vars, clauses));
+        assert_eq!(th.shared_definitions(), 4, "each of the four connectives");
+    }
+
+    #[test]
+    fn a_chain_prefix_compiled_after_the_chain_gets_the_chains_literal() {
+        // `chain(w)` is `chain(w - 1) & (a{w-2} -> a{w-1})`, so compiling
+        // the prefix first allocates exactly what the chain allocates
+        // for it: both orders number the prefix alike.
+        let chain = |width: usize| {
+            let links: Vec<String> = (1..width)
+                .map(|j| format!("(a{} -> a{j})", j - 1))
+                .collect();
+            parse(&format!("a0 & {}", links.join(" & "))).unwrap()
+        };
+        let mut prefix_first = Theory::new();
+        let prefix = prefix_first.formula_lit(&chain(5));
+        let whole = prefix_first.formula_lit(&chain(6));
+        let mut chain_first = Theory::new();
+        assert_eq!(chain_first.formula_lit(&chain(6)), whole);
+        let (vars, clauses) = (chain_first.num_vars(), chain_first.num_clauses());
+        assert_eq!(chain_first.formula_lit(&chain(5)), prefix);
+        assert_eq!(
+            (chain_first.num_vars(), chain_first.num_clauses()),
+            (vars, clauses)
+        );
+        assert_eq!(vars, prefix_first.num_vars());
+    }
+
+    #[test]
+    fn shared_sub_formulas_answer_like_separately_compiled_ones() {
+        // `q & p` keys apart from `p & q`, so the second theory defines
+        // the conjunction twice, as a compiler without sharing would.
+        let sources = |second: &str| ["(p & q) -> r".to_string(), format!("({second}) | s")];
+        let compile = |second: &str| {
+            let mut th = Theory::new();
+            let mut lits: Vec<Lit> = sources(second)
+                .iter()
+                .map(|src| th.formula_lit(&parse(src).unwrap()))
+                .collect();
+            lits.extend(["p", "q", "r", "s"].map(|a| th.atom_lit(&Atom::new(a))));
+            (th, lits)
+        };
+        let (mut shared, shared_lits) = compile("p & q");
+        let (mut apart, apart_lits) = compile("q & p");
+        assert_eq!(shared.num_vars() + 1, apart.num_vars());
+        // Every assumption set over the six literals: each absent,
+        // positive or negated.
+        for code in 0..3usize.pow(6) {
+            let question = |lits: &[Lit]| {
+                let mut picked = Vec::new();
+                let mut c = code;
+                for &lit in lits {
+                    match c % 3 {
+                        1 => picked.push(lit),
+                        2 => picked.push(!lit),
+                        _ => {}
+                    }
+                    c /= 3;
+                }
+                picked
+            };
+            let (s, a) = (question(&shared_lits), question(&apart_lits));
+            assert_eq!(shared.check_under(s), apart.check_under(a), "set {code}");
+        }
     }
 
     #[test]

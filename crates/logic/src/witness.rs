@@ -36,11 +36,13 @@
 //! call starts a fresh pool; the service keeps one pool per case for
 //! the case's whole life, so models and UNSAT sets found answering one
 //! revision's questions keep answering the next revision's. Recompiling
-//! an edited case reuses the literals of unchanged payloads and the
+//! an edited case reuses the literals of unchanged payloads, and
+//! [`Theory::formula_lit`] gives a restored payload, or a sub-formula
+//! shared with another payload, the literal it compiled to before; the
 //! clause database only grows, so an unchanged step, entailment or
-//! drop-probe asks the identical assumption set it asked before, and
-//! the stored model (SAT) or assumption set (UNSAT) answers it without
-//! the solver.
+//! drop-probe — or one over a formula the session compiled before —
+//! asks the identical assumption set it asked before, and the stored
+//! model (SAT) or assumption set (UNSAT) answers it without the solver.
 
 use crate::prop::{Lit, Theory};
 

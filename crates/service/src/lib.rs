@@ -24,7 +24,9 @@
 //!   Tseitin delta
 //!   ([`recompile`](casekit_core::semantics::ArgumentTheory::recompile)
 //!   reuses every
-//!   unchanged payload's literal verbatim);
+//!   unchanged payload's literal verbatim, and the theory's definition
+//!   table gives a restored payload, or a sub-formula another payload
+//!   shares, the literal it compiled to before);
 //! * a [`WitnessPool`](casekit_logic::prop::WitnessPool) — the models
 //!   and UNSAT assumption sets found answering one revision's questions
 //!   keep answering the next revision's (stored witnesses bound-check
@@ -53,14 +55,20 @@
 //! variable newer than itself. Only questions over new literals, or
 //! new combinations of old ones, pay a solve —
 //! [`SessionStats::solver_calls`] counts them, and the machine report
-//! still lists findings in the exact order of the batch checker.
+//! still lists findings in the exact order of the batch checker. An
+//! undo, or any other edit back to a formula compiled since the last
+//! whole-theory invalidation, brings back its old literals, and with
+//! them questions the pool has answered.
 //!
-//! **Conservative invalidation.** Replaced payloads strand their old
-//! definitional clauses as garbage; when the stranded cost outweighs
+//! **Conservative invalidation.** Replaced payloads may strand their
+//! old definitional clauses as garbage. The cache counts a retired
+//! payload's cost as every definition it spanned, shared or not, an
+//! upper bound on what it strands; when that garbage cost outweighs
 //! the live cost the session performs whole-theory invalidation — a
-//! fresh compile with a cleared payload cache and witness pool — which
-//! is always sound and bounds memory growth under heavy editing. The
-//! first query after it pays every question again.
+//! fresh compile with a cleared payload cache, definition table and
+//! witness pool — which is always sound and bounds memory growth
+//! under heavy editing. The first query after it pays every question
+//! again.
 //!
 //! **Opening.** [`CaseService::open`] defers compilation to the first
 //! query. A session opened from text with [`CaseService::open_source`]
@@ -456,6 +464,15 @@ mod tests {
         assert_eq!(restored.solver_calls, fresh.solver_calls, "{restored:?}");
         assert_eq!(restored.steps_checked, fresh.steps_checked);
         assert_eq!(restored.steps_reused - fresh.steps_reused, 3);
+        // The same round trip through a compound payload: restoring
+        // `p -> y` gives its implication back the literal it had, so
+        // again every question is one the pool has answered.
+        edit(&mut service, "p -> y");
+        let away = edit(&mut service, "p -> z");
+        let back = edit(&mut service, "p -> y");
+        assert_eq!(back.solver_calls, away.solver_calls, "{back:?}");
+        assert_eq!(back.steps_checked, away.steps_checked);
+        assert_eq!(back.steps_reused - away.steps_reused, 3);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use casekit_core::{Argument, Edge, EdgeKind, FormalPayload, Node, NodeId};
 use casekit_fallacies::checker::{check_argument, check_compiled};
 use casekit_logic::prop::{Formula, Theory, WitnessPool};
 
-/// Below this many live payload variables, garbage never triggers a
-/// whole-theory rebuild — tiny cases churn freely without compaction.
+/// Below this live payload cost, garbage never triggers a whole-theory
+/// rebuild — tiny cases churn freely without compaction.
 const COMPACTION_FLOOR: usize = 256;
 
 /// Counters describing what a session's lifetime actually cost — the
@@ -220,7 +220,7 @@ impl CaseSession {
     }
 
     /// Forces whole-theory invalidation: the next query compiles fresh,
-    /// with an empty payload cache and witness pool.
+    /// with an empty payload cache, definition table and witness pool.
     pub fn compact(&mut self) {
         self.theory = None;
         self.cache = PayloadCache::default();
@@ -238,7 +238,7 @@ impl CaseSession {
     /// Brings the compiled session up to date with the current
     /// revision: an incremental recompile against the live clause
     /// database, falling back to whole-theory invalidation when the
-    /// stranded definitional clauses outweigh the live ones.
+    /// garbage cost of retired payloads outweighs the live cost.
     fn flush(&mut self) {
         if !self.logic_dirty && self.theory.is_some() {
             return;

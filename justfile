@@ -101,8 +101,9 @@ perf workload="ingest" seed="1":
 # Alternating parent/change pairs of one BENCHMARK.json workload at its
 # run length, seeds 1001 onwards, the first side flipping every pair:
 # prints each pair, then each end-to-end metric's parent median, change
-# median, ratio and the pairs the change won. Fails on any result line
-# that is not correct with zero failed ops.
+# median, ratio, parent interquartile range, the pairs the change won,
+# and its gain and bound verdicts. Fails on any result line that is not
+# correct with zero failed ops.
 perf-pairs parent workload="session" pairs="10":
     ./scripts/perf_pairs.sh {{parent}} {{workload}} {{pairs}}
 

@@ -15,8 +15,13 @@
 # prints its output and fails the script. Each pair prints one line;
 # at the end each end-to-end metric of BENCHMARK.json prints its
 # parent median, change median, change/parent ratio, the parent's
-# interquartile range and the number of pairs the change won. bash and
-# awk only, besides git, tar and cargo.
+# interquartile range, the number of pairs the change won, and two
+# verdicts: `gain` is yes when the change won at least 9 in 10 of the
+# pairs and its median beats the parent's by more than the parent's
+# interquartile range, in the metric's `better` direction; `bound` is
+# ok when the change's median is no worse than the parent's by more
+# than the metric's `bound` (a fraction of the parent's median). bash
+# and awk only, besides git, tar and cargo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,7 +43,7 @@ here="$(pwd)"
 parent="${here}/target/perf-pairs/${sha}"
 
 # BENCHMARK.json on one line: the command, the run length, and the
-# end-to-end metrics as "name:better" words.
+# end-to-end metrics as "name:better:bound" words.
 spec="$(awk '{ printf "%s ", $0 }' BENCHMARK.json)"
 mapfile -t cmd < <(printf '%s\n' "$spec" | awk '{
   if (!match($0, /"command"[ \t]*:[ \t]*\[[^]]*\]/)) exit 1
@@ -65,7 +70,9 @@ metrics="$(printf '%s\n' "$spec" | awk '{
     s = substr(s, RSTART + RLENGTH)
     name = entry; sub(/.*"name"[ \t]*:[ \t]*"/, "", name); sub(/".*/, "", name)
     better = entry; sub(/.*"better"[ \t]*:[ \t]*"/, "", better); sub(/".*/, "", better)
-    printf "%s%s:%s", (n++ ? " " : ""), name, better
+    bound = entry; sub(/.*"bound"[ \t]*:[ \t]*/, "", bound); sub(/[^0-9.].*/, "", bound)
+    if (bound == "") exit 1
+    printf "%s%s:%s:%s", (n++ ? " " : ""), name, better, bound
   }
 }')"
 if [ "${#cmd[@]}" -eq 0 ] || [ -z "$seconds" ] || [ -z "$metrics" ]; then
@@ -109,7 +116,8 @@ run_side() {
 
 # summarise [pair]: with a pair, one line of that pair's values
 # (parent -> change); without, each metric's medians, ratio, parent
-# interquartile range and the pairs the change won.
+# interquartile range, the pairs the change won, and the gain and bound
+# verdicts.
 summarise() {
   awk -v metrics="$metrics" -v only_pair="${1:-}" '
     function value(line, name,   s) {
@@ -130,7 +138,9 @@ summarise() {
     }
     BEGIN {
       m = split(metrics, words, " ")
-      for (k = 1; k <= m; k++) { split(words[k], f, ":"); name[k] = f[1]; better[k] = f[2] }
+      for (k = 1; k <= m; k++) {
+        split(words[k], f, ":"); name[k] = f[1]; better[k] = f[2]; bound[k] = f[3]
+      }
     }
     only_pair != "" && $2 != only_pair { next }
     {
@@ -146,7 +156,7 @@ summarise() {
         print out
         exit
       }
-      printf "%-14s %14s %14s %8s %12s %8s\n", "metric", "parent_median", "change_median", "ratio", "parent_iqr", "won"
+      printf "%-14s %14s %14s %8s %12s %8s %5s %6s\n", "metric", "parent_median", "change_median", "ratio", "parent_iqr", "won", "gain", "bound"
       for (k = 1; k <= m; k++) {
         won = 0
         for (i = 1; i <= np; i++) {
@@ -157,7 +167,12 @@ summarise() {
         sort(P, np); sort(C, np)
         pm = quantile(P, np, 0.5); cm = quantile(C, np, 0.5)
         iqr = quantile(P, np, 0.75) - quantile(P, np, 0.25)
-        printf "%-14s %14.6g %14.6g %8.3f %12.6g %5d/%d\n", name[k], pm, cm, (pm != 0 ? cm / pm : 0), iqr, won, np
+        # The gap and the worst allowed median, in the better direction.
+        gap = better[k] == "lower" ? pm - cm : cm - pm
+        limit = better[k] == "lower" ? pm * (1 + bound[k]) : pm * (1 - bound[k])
+        gain = (10 * won >= 9 * np && gap > iqr) ? "yes" : "no"
+        within = (better[k] == "lower" ? cm <= limit : cm >= limit) ? "ok" : "over"
+        printf "%-14s %14.6g %14.6g %8.3f %12.6g %5d/%d %5s %6s\n", name[k], pm, cm, (pm != 0 ? cm / pm : 0), iqr, won, np, gain, within
       }
     }
   ' "$results"

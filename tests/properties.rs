@@ -430,6 +430,65 @@ proptest! {
     }
 }
 
+// Structural hashing in `Theory::formula_lit`: a formula or sub-formula
+// compiled before gets its old literal back, so literals are shared
+// across formulas and stages. Every literal must still be equivalent to
+// its formula: each question is checked against the truth table.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(160))]
+
+    #[test]
+    fn shared_sub_formulas_answer_like_the_truth_table(
+        pool in collection::vec(formula_strategy(), 2..6),
+        stages in collection::vec(
+            (
+                collection::vec((0u8..5, 0usize..64, 0usize..64), 1..4),
+                collection::vec(collection::vec((0usize..64, 0u8..2), 1..5), 1..5),
+            ),
+            1..5,
+        ),
+    ) {
+        // Each pick compiles a pool member (op 4) or joins two of them
+        // (ops 0–3); a join enters the pool, so later picks nest and
+        // repeat earlier formulas and their sub-formulas.
+        let mut pool = pool;
+        let mut theory = prop::Theory::new();
+        let mut compiled: Vec<(Formula, prop::Lit)> = Vec::new();
+        for (stage, (picks, questions)) in stages.iter().enumerate() {
+            for &(op, i, j) in picks {
+                let (l, r) = (pool[i % pool.len()].clone(), pool[j % pool.len()].clone());
+                let f = match op {
+                    0 => l.and(r),
+                    1 => l.or(r),
+                    2 => l.implies(r),
+                    3 => l.iff(r),
+                    _ => l,
+                };
+                if op < 4 {
+                    pool.push(f.clone());
+                }
+                let lit = theory.formula_lit(&f);
+                compiled.push((f, lit));
+            }
+            for question in questions {
+                let (assumptions, signed): (Vec<prop::Lit>, Vec<Formula>) = question
+                    .iter()
+                    .map(|&(i, positive)| {
+                        let (f, lit) = &compiled[i % compiled.len()];
+                        if positive == 1 { (*lit, f.clone()) } else { (!*lit, f.clone().not()) }
+                    })
+                    .unzip();
+                let table = prop::truth_table(&Formula::conj(signed)).unwrap();
+                prop_assert_eq!(
+                    theory.check_under(assumptions),
+                    table.models() > 0,
+                    "stage {} question {:?} over {:?}", stage, question, compiled
+                );
+            }
+        }
+    }
+}
+
 // Pattern instantiation is closed over GSN well-formedness for arbitrary
 // hazard lists.
 proptest! {
