@@ -29,71 +29,47 @@ use casekit_logic::ParseError;
 /// argument, paying its own compilation if it needs the solver.
 type Tool = fn(&Argument, &mut Sink<'_>);
 
+/// Runs `lint` on a [`logical::Pass`] over a fresh compilation and a
+/// fresh pool: the session of one standalone solver-backed tool.
+fn fresh_pass(argument: &Argument, lint: impl FnOnce(&mut logical::Pass<'_>)) {
+    let mut theory = ArgumentTheory::compile(argument);
+    lint(&mut logical::Pass::new(
+        argument,
+        &mut theory,
+        &mut WitnessPool::new(),
+    ));
+}
+
 fn tool_structural(argument: &Argument, sink: &mut Sink<'_>) {
     structural::run(argument, sink);
 }
 
 fn tool_non_deductive(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_non_deductive(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.non_deductive(sink));
 }
 
 fn tool_inconsistent_premises(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_inconsistent_premises(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.inconsistent_premises(sink));
 }
 
 fn tool_tautological_conclusion(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_tautological_conclusion(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.tautological_conclusion(sink));
 }
 
 fn tool_unsatisfiable_conclusion(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_unsatisfiable_conclusion(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.unsatisfiable_conclusion(sink));
 }
 
 fn tool_entailment(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_entailment(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.entailment(sink));
 }
 
 fn tool_redundant_premises(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_redundant_premises(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.redundant_premises(sink));
 }
 
 fn tool_circular_steps(argument: &Argument, sink: &mut Sink<'_>) {
-    logical::pass_circular_steps(
-        argument,
-        &mut ArgumentTheory::compile(argument),
-        &mut WitnessPool::new(),
-        sink,
-    );
+    fresh_pass(argument, |pass| pass.circular_steps(sink));
 }
 
 /// Shared shape of the six standalone fallacy tools: extract the formal
@@ -114,7 +90,7 @@ fn fallacy_tool(
             argument,
             &formal_premise_indices(argument),
             formal_conclusion_index(argument),
-            findings,
+            &findings,
             sink,
         );
     }

@@ -73,8 +73,9 @@ pub use diagnostic::{Diagnostic, Level, LintCode, LintConfig, LintDescriptor, Pa
 pub use source::{check_source, check_syntax, excerpt, SourceAnalysis};
 
 use casekit_core::dsl::parse_argument;
-use casekit_core::semantics::ArgumentTheory;
-use casekit_core::Argument;
+use casekit_core::semantics::{ArgumentTheory, ProbeReport};
+use casekit_core::{Argument, NodeIdx};
+use casekit_fallacies::formal::Finding;
 use casekit_logic::ParseError;
 use casekit_runtime::Runtime;
 
@@ -118,12 +119,10 @@ pub fn lint_sources(
 
 /// [`lint_argument`] against an already-compiled session (fresh from
 /// [`ArgumentTheory::compile`], or a long-lived one) and a caller-owned
-/// [`WitnessPool`]. Passes retract every assumption they push, so one
-/// session serves any number of lint runs. Long-lived sessions — the
-/// incremental `CaseService` — keep one pool per case so models found
-/// answering one revision's questions keep answering the next
-/// revision's (sound whenever the session's clause database only grows
-/// between calls). The pool is answer-invariant: warm or cold, the
+/// [`WitnessPool`]: the diagnostics of [`analyse_compiled`], without the
+/// probe it finishes with when CK104 did not probe. Passes retract
+/// every assumption they push, so one session serves any number of
+/// lint runs. The pool is answer-invariant: warm or cold, the
 /// diagnostics are byte-identical.
 pub fn lint_compiled_with_pool(
     argument: &Argument,
@@ -135,6 +134,49 @@ pub fn lint_compiled_with_pool(
     structural::run(argument, &mut sink);
     logical::run_all(argument, theory, pool, &mut sink);
     sink.finish()
+}
+
+/// One lint run over a compiled case with the verdicts it decided: the
+/// lint stream, and what the machine check and Rushby's what-if probe
+/// read off the same questions. Built by [`analyse_compiled`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Analysis {
+    /// The diagnostic stream, in canonical order.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Parents of the steps whose support does not entail their claim,
+    /// in step order.
+    pub non_deductive: Vec<NodeIdx>,
+    /// How many step questions reached the solver; the witness pool
+    /// answered the theory's other steps.
+    pub steps_solved: usize,
+    /// Whether the formal premises entail the formal conclusion (`None`
+    /// without premises or without a conclusion).
+    pub entailed: Option<bool>,
+    /// The formal fallacy findings, in detector order (empty without
+    /// premises or without a conclusion).
+    pub fallacies: Vec<Finding>,
+    /// Rushby's what-if probe: CK104's when it ran, else
+    /// [`ArgumentTheory::probe`] after the lint passes (`None` without a
+    /// formal conclusion).
+    pub probe: Option<ProbeReport>,
+}
+
+/// Lints a compiled case and returns the verdicts beside the
+/// diagnostics: one pass that asks each step question, premise
+/// consistency, the root entailment and each drop-probe once, through
+/// `pool`, for every consumer of the answer bundle. The verdicts do not
+/// depend on `config`: allowing a lint drops its diagnostics, not its
+/// questions. The diagnostics are those of [`lint_compiled_with_pool`].
+pub fn analyse_compiled(
+    argument: &Argument,
+    theory: &mut ArgumentTheory,
+    pool: &mut WitnessPool,
+    config: &LintConfig,
+) -> Analysis {
+    let mut sink = diagnostic::Sink::new(config);
+    structural::run(argument, &mut sink);
+    let pass = logical::run_all(argument, theory, pool, &mut sink);
+    pass.into_analysis(sink.finish())
 }
 
 #[cfg(test)]

@@ -2,24 +2,28 @@
 //! [`ArgumentTheory`] session, plus the re-routed formal/informal
 //! fallacy detectors.
 //!
-//! Every pass is written against `&mut ArgumentTheory` and a
-//! [`WitnessPool`] and is self-contained (it re-derives its own gating
-//! facts, e.g. premise consistency, with cheap assumption rounds) so
-//! the compile-once engine ([`crate::lint_compiled_with_pool`]) and the
-//! recompile-per-lint baseline
-//! ([`crate::baseline::lint_argument_recompiling`]) can run the *same*
-//! pass bodies and differ only in how many Tseitin compilations they
-//! pay. Assumption rounds always retract fully
+//! Every pass is a method of one [`Pass`] over `&mut ArgumentTheory`
+//! and a [`WitnessPool`]. The pass keeps the verdicts more than one lint
+//! reads — each step's, premise consistency and the root entailment —
+//! and asks each at its first need, so the compile-once engine
+//! ([`crate::analyse_compiled`]) looks each up once, and a pass run on
+//! its own still asks what it needs: the recompile-per-lint baseline
+//! ([`crate::baseline::lint_argument_recompiling`]) runs the *same* pass
+//! bodies, one fresh `Pass` per tool, and differs only in how many
+//! Tseitin compilations it pays. The first pass to need a question asks
+//! it, so the engine's questions reach the pool in pass order.
+//! Assumption rounds always retract fully
 //! ([`casekit_logic::prop::Theory::check_under`]), so passes compose in
 //! any order on one session.
 
-use crate::diagnostic::{LintCode, Sink};
-use casekit_core::semantics::ArgumentTheory;
-use casekit_core::{Argument, NodeId, NodeIdx};
-use casekit_fallacies::formal::Finding;
+use crate::diagnostic::{Diagnostic, LintCode, Sink};
+use crate::Analysis;
+use casekit_core::semantics::{ArgumentTheory, ProbeReport};
+use casekit_core::{Argument, FormalPayload, NodeId, NodeIdx};
+use casekit_fallacies::formal::{Compiled, Finding};
 use casekit_fallacies::taxonomy::FormalFallacy;
 use casekit_fallacies::{formal, informal};
-use casekit_logic::prop::{Lit, WitnessPool};
+use casekit_logic::prop::{Formula, Lit, WitnessPool};
 
 /// Runs every logical and fallacy pass against one shared session and
 /// one shared [`WitnessPool`], so a model found answering one pass's
@@ -27,275 +31,366 @@ use casekit_logic::prop::{Lit, WitnessPool};
 /// recompiling baseline starts a fresh pool per pass, because its
 /// per-tool sessions share nothing). The pool may outlive the run — the
 /// incremental service keeps one per case — and warm or cold pools
-/// produce byte-identical diagnostics.
-pub(crate) fn run_all(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
+/// produce byte-identical diagnostics. The returned pass holds the
+/// verdicts the run decided.
+pub(crate) fn run_all<'a>(
+    argument: &'a Argument,
+    theory: &'a mut ArgumentTheory,
+    pool: &'a mut WitnessPool,
     sink: &mut Sink<'_>,
-) {
-    pass_non_deductive(argument, theory, pool, sink);
-    pass_inconsistent_premises(argument, theory, pool, sink);
-    pass_tautological_conclusion(argument, theory, pool, sink);
-    pass_unsatisfiable_conclusion(argument, theory, pool, sink);
-    pass_entailment(argument, theory, pool, sink);
-    pass_redundant_premises(argument, theory, pool, sink);
-    pass_circular_steps(argument, theory, pool, sink);
-    pass_fallacies(argument, theory, pool, sink);
+) -> Pass<'a> {
+    let mut pass = Pass::new(argument, theory, pool);
+    pass.non_deductive(sink);
+    pass.inconsistent_premises(sink);
+    pass.tautological_conclusion(sink);
+    pass.unsatisfiable_conclusion(sink);
+    pass.entailment(sink);
+    pass.redundant_premises(sink);
+    pass.circular_steps(sink);
+    pass.fallacies(sink);
     pass_quantifier(argument, sink);
+    pass
 }
 
-fn premise_ids(argument: &Argument, theory: &ArgumentTheory) -> Vec<NodeId> {
-    theory
-        .premise_indices()
-        .into_iter()
-        .map(|idx| argument.id_at(idx).clone())
-        .collect()
+/// The propositional payload of the node at `idx`.
+fn payload(argument: &Argument, idx: NodeIdx) -> Option<&Formula> {
+    match &argument.node_at(idx).formal {
+        Some(FormalPayload::Prop(f)) => Some(f),
+        _ => None,
+    }
 }
 
-/// CK106: formalised steps whose support does not entail the claim —
-/// each step's [`ArgumentTheory::step_question`], asked through the
-/// witness pool, so a long-lived session that already answered a step
-/// pays no second solve.
-pub(crate) fn pass_non_deductive(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    for idx in theory.step_indices() {
-        let question = theory
-            .step_question(idx)
-            .expect("step_indices yields only checkable steps");
-        if !pool.check(theory.theory_mut(), &question) {
-            continue; // deductive
+/// The logical passes over one compiled case, with the verdicts they
+/// share.
+pub(crate) struct Pass<'a> {
+    argument: &'a Argument,
+    theory: &'a mut ArgumentTheory,
+    pool: &'a mut WitnessPool,
+    /// Each step's verdict once asked: `true` when its support does not
+    /// entail its claim.
+    steps: Vec<Option<bool>>,
+    /// Step questions whose lookup reached the solver.
+    steps_solved: usize,
+    consistent: Option<bool>,
+    entailed: Option<bool>,
+    /// CK104's probe, when it ran.
+    probe: Option<ProbeReport>,
+    fallacies: Vec<Finding>,
+}
+
+impl<'a> Pass<'a> {
+    pub(crate) fn new(
+        argument: &'a Argument,
+        theory: &'a mut ArgumentTheory,
+        pool: &'a mut WitnessPool,
+    ) -> Self {
+        let steps = vec![None; theory.step_count()];
+        Pass {
+            argument,
+            theory,
+            pool,
+            steps,
+            steps_solved: 0,
+            consistent: None,
+            entailed: None,
+            probe: None,
+            fallacies: Vec::new(),
         }
-        let related: Vec<NodeId> = theory
-            .step_children(idx)
-            .unwrap_or(&[])
-            .iter()
-            .map(|c| argument.id_at(*c).clone())
+    }
+
+    /// The run's verdicts beside `diagnostics`, its lint stream. When
+    /// CK104 did not probe (no premises, or inconsistent ones), the
+    /// probe runs here, after every lint pass.
+    pub(crate) fn into_analysis(mut self, diagnostics: Vec<Diagnostic>) -> Analysis {
+        let probe = match (self.probe.take(), self.entailed()) {
+            (Some(probe), _) => Some(probe),
+            (None, Some(entailed)) => Some(self.theory.probe_given(entailed, self.pool)),
+            (None, None) => self.theory.probe(self.pool),
+        };
+        let non_deductive = (0..self.steps.len())
+            .filter(|&k| self.steps[k] == Some(true))
+            .map(|k| self.theory.step_parent(k).0)
             .collect();
+        Analysis {
+            diagnostics,
+            non_deductive,
+            steps_solved: self.steps_solved,
+            entailed: self.entailed,
+            fallacies: self.fallacies,
+            probe,
+        }
+    }
+
+    /// Satisfiability of a literal set, through the pool.
+    fn sat(&mut self, lits: &[Lit]) -> bool {
+        self.pool.check(self.theory.theory_mut(), lits)
+    }
+
+    /// Whether step `k`'s support fails to entail its claim, asked at
+    /// first need.
+    fn step_fails(&mut self, k: usize) -> bool {
+        if let Some(fails) = self.steps[k] {
+            return fails;
+        }
+        let calls = self.pool.solver_calls();
+        let fails = self.theory.step_counterexample(k, self.pool);
+        self.steps_solved += usize::from(self.pool.solver_calls() > calls);
+        self.steps[k] = Some(fails);
+        fails
+    }
+
+    /// Whether the formal premises are jointly satisfiable, asked at
+    /// first need; `None` without premises.
+    fn consistent(&mut self) -> Option<bool> {
+        if self.consistent.is_none() && !self.theory.premise_lits().is_empty() {
+            let (premise_lits, theory) = self.theory.premise_lits_and_theory();
+            self.consistent = Some(self.pool.check(theory, premise_lits));
+        }
+        self.consistent
+    }
+
+    /// Whether the formal premises entail the formal conclusion, asked
+    /// at first need; `None` without premises or without a conclusion.
+    fn entailed(&mut self) -> Option<bool> {
+        if self.entailed.is_none() && !self.theory.premise_lits().is_empty() {
+            self.entailed = self
+                .theory
+                .entailment_counterexample(None, self.pool)
+                .map(|counterexample| !counterexample);
+        }
+        self.entailed
+    }
+
+    fn premise_ids(&self) -> Vec<NodeId> {
+        self.theory
+            .premise_indices()
+            .iter()
+            .map(|&idx| self.argument.id_at(idx).clone())
+            .collect()
+    }
+
+    /// CK106: formalised steps whose support does not entail the claim
+    /// — each step's question, asked through the witness pool, so a
+    /// long-lived session that already answered a step pays no second
+    /// solve.
+    pub(crate) fn non_deductive(&mut self, sink: &mut Sink<'_>) {
+        for k in 0..self.theory.step_count() {
+            if !self.step_fails(k) {
+                continue; // deductive
+            }
+            let parent = self.argument.id_at(self.theory.step_parent(k).0);
+            let related = self
+                .theory
+                .step_children(k)
+                .iter()
+                .map(|&(child, _)| self.argument.id_at(child).clone())
+                .collect();
+            sink.emit(
+                LintCode::NonDeductiveStep,
+                Some(parent.clone()),
+                related,
+                format!("the support for `{parent}` does not deductively entail it"),
+                Some(
+                    "strengthen the support, weaken the claim, or argue the gap explicitly".into(),
+                ),
+            );
+        }
+    }
+
+    /// CK101: the formal premises are jointly unsatisfiable.
+    pub(crate) fn inconsistent_premises(&mut self, sink: &mut Sink<'_>) {
+        if self.consistent() != Some(false) {
+            return;
+        }
+        let ids = self.premise_ids();
         sink.emit(
-            LintCode::NonDeductiveStep,
-            Some(argument.id_at(idx).clone()),
-            related,
+            LintCode::InconsistentPremises,
+            Some(ids[0].clone()),
+            ids[1..].to_vec(),
             format!(
-                "the support for `{}` does not deductively entail it",
-                argument.id_at(idx)
+                "the {} formal premises cannot all be true together",
+                ids.len()
             ),
-            Some("strengthen the support, weaken the claim, or argue the gap explicitly".into()),
+            Some("at least one premise must be false; recheck the flagged leaves".into()),
         );
     }
-}
 
-/// CK101: the formal premises are jointly unsatisfiable.
-pub(crate) fn pass_inconsistent_premises(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let premise_lits = theory.premise_lits();
-    if premise_lits.is_empty() {
-        return;
-    }
-    let ids = premise_ids(argument, theory);
-    if pool.check(theory.theory_mut(), &premise_lits) {
-        return;
-    }
-    sink.emit(
-        LintCode::InconsistentPremises,
-        Some(ids[0].clone()),
-        ids[1..].to_vec(),
-        format!(
-            "the {} formal premises cannot all be true together",
-            ids.len()
-        ),
-        Some("at least one premise must be false; recheck the flagged leaves".into()),
-    );
-}
-
-/// CK102: the conclusion is a tautology — the evidence cannot matter.
-pub(crate) fn pass_tautological_conclusion(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
-    else {
-        return;
-    };
-    if pool.check(theory.theory_mut(), &[!conclusion_lit]) {
-        return;
-    }
-    sink.emit(
-        LintCode::TautologicalConclusion,
-        Some(argument.id_at(conclusion_idx).clone()),
-        Vec::new(),
-        format!(
-            "the conclusion at `{}` is a tautology: it holds regardless of any evidence",
-            argument.id_at(conclusion_idx)
-        ),
-        Some("state a falsifiable claim; a vacuous conclusion assures nothing".into()),
-    );
-}
-
-/// CK103: the conclusion is unsatisfiable — no evidence could help.
-pub(crate) fn pass_unsatisfiable_conclusion(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let (Some(conclusion_lit), Some(conclusion_idx)) =
-        (theory.conclusion_lit(), theory.conclusion_index())
-    else {
-        return;
-    };
-    if pool.check(theory.theory_mut(), &[conclusion_lit]) {
-        return;
-    }
-    sink.emit(
-        LintCode::UnsatisfiableConclusion,
-        Some(argument.id_at(conclusion_idx).clone()),
-        Vec::new(),
-        format!(
-            "the conclusion at `{}` is unsatisfiable: no state of the world makes it true",
-            argument.id_at(conclusion_idx)
-        ),
-        Some("the claim contradicts itself; restate it".into()),
-    );
-}
-
-/// CK107: the premises do not entail the conclusion. The root
-/// [`ArgumentTheory::entailment_question`] — premises assumed,
-/// conclusion denied, SAT means a counterexample — asked through the
-/// witness pool.
-pub(crate) fn pass_entailment(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let (Some(question), Some(conclusion_idx)) =
-        (theory.entailment_question(None), theory.conclusion_index())
-    else {
-        return;
-    };
-    if theory.premise_lits().is_empty() {
-        return;
-    }
-    if !pool.check(theory.theory_mut(), &question) {
-        return; // entailed
-    }
-    let ids = premise_ids(argument, theory);
-    sink.emit(
-        LintCode::ConclusionNotEntailed,
-        Some(argument.id_at(conclusion_idx).clone()),
-        ids,
-        format!(
-            "the formal premises do not entail the conclusion at `{}`",
-            argument.id_at(conclusion_idx)
-        ),
-        Some("add the missing premise or weaken the conclusion".into()),
-    );
-}
-
-/// CK104: the idle premises of Rushby's what-if probe
-/// ([`ArgumentTheory::probe`]) — premises the conclusion survives
-/// without. Gated on a consistent premise set (inconsistent premises
-/// entail everything, which would mark every premise "redundant" while
-/// CK101/CK107 already name the real defect); a probe that finds the
-/// conclusion not entailed reports nothing, since that is CK107's
-/// finding.
-pub(crate) fn pass_redundant_premises(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let premise_lits = theory.premise_lits();
-    let Some(conclusion_idx) = theory.conclusion_index() else {
-        return;
-    };
-    if premise_lits.is_empty() {
-        return;
-    }
-    if !pool.check(theory.theory_mut(), &premise_lits) {
-        return; // inconsistent: CK101's finding, not a redundancy.
-    }
-    let Some(probe) = theory.probe(pool) else {
-        return;
-    };
-    let premises = theory.premise_indices();
-    for dropped in probe.idle.into_iter().map(|i| premises[i]) {
+    /// CK102: the conclusion is a tautology — the evidence cannot
+    /// matter.
+    pub(crate) fn tautological_conclusion(&mut self, sink: &mut Sink<'_>) {
+        let (Some(conclusion_lit), Some(conclusion_idx)) =
+            (self.theory.conclusion_lit(), self.theory.conclusion_index())
+        else {
+            return;
+        };
+        if self.sat(&[!conclusion_lit]) {
+            return;
+        }
+        let conclusion = self.argument.id_at(conclusion_idx);
         sink.emit(
-            LintCode::RedundantPremise,
-            Some(argument.id_at(dropped).clone()),
-            vec![argument.id_at(conclusion_idx).clone()],
+            LintCode::TautologicalConclusion,
+            Some(conclusion.clone()),
+            Vec::new(),
             format!(
-                "premise `{}` is idle: the remaining premises already entail the conclusion",
-                argument.id_at(dropped)
+                "the conclusion at `{conclusion}` is a tautology: it holds regardless of any evidence"
             ),
-            Some("drop it, or strengthen the conclusion it was meant to carry".into()),
+            Some("state a falsifiable claim; a vacuous conclusion assures nothing".into()),
         );
     }
-}
 
-/// CK105: a support child logically equivalent to its parent claim —
-/// the step restates rather than justifies. Two assumption rounds per
-/// (step, child) edge against the compiled step literals.
-pub(crate) fn pass_circular_steps(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    // A step's parent claim literal plus its (child, literal) pairs.
-    type Step = (NodeIdx, Lit, Vec<(NodeIdx, Lit)>);
-    let steps: Vec<Step> = theory
-        .step_indices()
-        .into_iter()
-        .filter_map(|parent| {
-            let (parent_lit, child_lits) = theory.step_lits(parent)?;
-            let children = theory.step_children(parent)?;
-            Some((
-                parent,
-                parent_lit,
-                children
-                    .iter()
-                    .copied()
-                    .zip(child_lits.iter().copied())
-                    .collect(),
-            ))
-        })
-        .collect();
-    let session = theory.theory_mut();
-    for (parent, parent_lit, children) in steps {
-        for (child, child_lit) in children {
-            // Child-true/parent-false first: the redundancy pass's
-            // drop-probe witnesses (premises true, conclusion false)
-            // usually cover it, and a hit short-circuits the second
-            // direction away without a solve.
-            let equivalent = !pool.check(session, &[child_lit, !parent_lit])
-                && !pool.check(session, &[parent_lit, !child_lit]);
-            if equivalent {
+    /// CK103: the conclusion is unsatisfiable — no evidence could help.
+    pub(crate) fn unsatisfiable_conclusion(&mut self, sink: &mut Sink<'_>) {
+        let (Some(conclusion_lit), Some(conclusion_idx)) =
+            (self.theory.conclusion_lit(), self.theory.conclusion_index())
+        else {
+            return;
+        };
+        if self.sat(&[conclusion_lit]) {
+            return;
+        }
+        let conclusion = self.argument.id_at(conclusion_idx);
+        sink.emit(
+            LintCode::UnsatisfiableConclusion,
+            Some(conclusion.clone()),
+            Vec::new(),
+            format!(
+                "the conclusion at `{conclusion}` is unsatisfiable: no state of the world makes it true"
+            ),
+            Some("the claim contradicts itself; restate it".into()),
+        );
+    }
+
+    /// CK107: the premises do not entail the conclusion — premises
+    /// assumed, conclusion denied, SAT means a counterexample.
+    pub(crate) fn entailment(&mut self, sink: &mut Sink<'_>) {
+        if self.entailed() != Some(false) {
+            return;
+        }
+        let Some(conclusion_idx) = self.theory.conclusion_index() else {
+            return;
+        };
+        let conclusion = self.argument.id_at(conclusion_idx);
+        sink.emit(
+            LintCode::ConclusionNotEntailed,
+            Some(conclusion.clone()),
+            self.premise_ids(),
+            format!("the formal premises do not entail the conclusion at `{conclusion}`"),
+            Some("add the missing premise or weaken the conclusion".into()),
+        );
+    }
+
+    /// CK104: the idle premises of Rushby's what-if probe
+    /// ([`ArgumentTheory::probe_given`], with the root entailment this
+    /// pass holds) — premises the conclusion survives without. Gated on
+    /// a consistent premise set (inconsistent premises entail
+    /// everything, which would mark every premise "redundant" while
+    /// CK101/CK107 already name the real defect); a probe that finds the
+    /// conclusion not entailed reports nothing, since that is CK107's
+    /// finding.
+    pub(crate) fn redundant_premises(&mut self, sink: &mut Sink<'_>) {
+        let Some(conclusion_idx) = self.theory.conclusion_index() else {
+            return;
+        };
+        if self.consistent() != Some(true) {
+            return; // inconsistent: CK101's finding, not a redundancy.
+        }
+        let Some(entailed) = self.entailed() else {
+            return;
+        };
+        let probe = self.theory.probe_given(entailed, self.pool);
+        let conclusion = self.argument.id_at(conclusion_idx);
+        for &i in &probe.idle {
+            let dropped = self.argument.id_at(self.theory.premise_indices()[i]);
+            sink.emit(
+                LintCode::RedundantPremise,
+                Some(dropped.clone()),
+                vec![conclusion.clone()],
+                format!(
+                    "premise `{dropped}` is idle: the remaining premises already entail the conclusion"
+                ),
+                Some("drop it, or strengthen the conclusion it was meant to carry".into()),
+            );
+        }
+        self.probe = Some(probe);
+    }
+
+    /// CK105: a support child logically equivalent to its parent claim
+    /// — the step restates rather than justifies. Two assumption rounds
+    /// per (step, child) edge against the compiled step literals.
+    pub(crate) fn circular_steps(&mut self, sink: &mut Sink<'_>) {
+        for k in 0..self.theory.step_count() {
+            let (parent, parent_lit) = self.theory.step_parent(k);
+            let only_child = self.theory.step_children(k).len() == 1;
+            for c in 0..self.theory.step_children(k).len() {
+                let (child, child_lit) = self.theory.step_children(k)[c];
+                // Child-true/parent-false first: the redundancy pass's
+                // drop-probe witnesses (premises true, conclusion false)
+                // usually cover it, and a hit short-circuits the second
+                // direction away without a solve. For an only child it
+                // is the step's own question, whose verdict CK106 holds.
+                let child_without_parent = if only_child {
+                    self.step_fails(k)
+                } else {
+                    self.sat(&[child_lit, !parent_lit])
+                };
+                if child_without_parent || self.sat(&[parent_lit, !child_lit]) {
+                    continue;
+                }
+                let (child, parent) = (self.argument.id_at(child), self.argument.id_at(parent));
                 sink.emit(
                     LintCode::CircularStep,
-                    Some(argument.id_at(child).clone()),
-                    vec![argument.id_at(parent).clone()],
+                    Some(child.clone()),
+                    vec![parent.clone()],
                     format!(
-                        "`{}` is logically equivalent to the claim `{}` it supports",
-                        argument.id_at(child),
-                        argument.id_at(parent)
+                        "`{child}` is logically equivalent to the claim `{parent}` it supports"
                     ),
                     Some("support the claim with independent content, not a restatement".into()),
                 );
             }
         }
+    }
+
+    /// CK110–CK115: the formal fallacy detectors, run against the
+    /// compiled premise/conclusion literals of this session — no second
+    /// Tseitin pass — with the consistency and entailment verdicts the
+    /// pass already holds.
+    pub(crate) fn fallacies(&mut self, sink: &mut Sink<'_>) {
+        let Some(conclusion_idx) = self.theory.conclusion_index() else {
+            return;
+        };
+        let (Some(conclusion), Some(conclusion_lit)) = (
+            payload(self.argument, conclusion_idx),
+            self.theory.conclusion_lit(),
+        ) else {
+            return;
+        };
+        if self.theory.premise_indices().is_empty() {
+            return;
+        }
+        let premises: Vec<&Formula> = self
+            .theory
+            .premise_indices()
+            .iter()
+            .filter_map(|&idx| payload(self.argument, idx))
+            .collect();
+        let (premise_lits, theory) = self.theory.premise_lits_and_theory();
+        let session = Compiled {
+            theory,
+            pool: self.pool,
+            premise_lits,
+            conclusion_lit,
+            consistent: self.consistent,
+            entailed: self.entailed,
+        };
+        let findings = formal::detect_all_compiled_with(session, &premises, conclusion);
+        emit_fallacy_findings(
+            self.argument,
+            self.theory.premise_indices(),
+            Some(conclusion_idx),
+            &findings,
+            sink,
+        );
+        self.fallacies = findings;
     }
 }
 
@@ -343,7 +438,7 @@ pub(crate) fn emit_fallacy_findings(
     argument: &Argument,
     premise_indices: &[NodeIdx],
     conclusion_idx: Option<NodeIdx>,
-    findings: Vec<Finding>,
+    findings: &[Finding],
     sink: &mut Sink<'_>,
 ) {
     for finding in findings {
@@ -367,40 +462,14 @@ pub(crate) fn emit_fallacy_findings(
                 related.push(conclusion_id.clone());
             }
         }
-        sink.emit(code, primary, related, finding.detail, fallacy_hint(code));
+        sink.emit(
+            code,
+            primary,
+            related,
+            finding.detail.clone(),
+            fallacy_hint(code),
+        );
     }
-}
-
-/// CK110–CK115: the formal fallacy detectors, run against the compiled
-/// premise/conclusion literals of this session — no second Tseitin pass.
-pub(crate) fn pass_fallacies(
-    argument: &Argument,
-    theory: &mut ArgumentTheory,
-    pool: &mut WitnessPool,
-    sink: &mut Sink<'_>,
-) {
-    let premises = casekit_core::semantics::formal_premises(argument);
-    let Some(conclusion) = casekit_core::semantics::formal_conclusion(argument) else {
-        return;
-    };
-    if premises.is_empty() {
-        return;
-    }
-    let premise_lits = theory.premise_lits();
-    let Some(conclusion_lit) = theory.conclusion_lit() else {
-        return;
-    };
-    let premise_indices = theory.premise_indices();
-    let conclusion_idx = theory.conclusion_index();
-    let findings = formal::detect_all_compiled_with(
-        theory.theory_mut(),
-        pool,
-        premise_lits,
-        conclusion_lit,
-        &premises,
-        conclusion,
-    );
-    emit_fallacy_findings(argument, &premise_indices, conclusion_idx, findings, sink);
 }
 
 /// CK120: the lexical quantifier-mismatch cue (a universal claim

@@ -158,13 +158,12 @@ impl LegacyEntailment {
 /// through [`ArgumentTheory::probe`] and a fresh witness pool.
 pub fn interned_sweep(argument: &Argument) -> SweepVerdict {
     let mut theory = ArgumentTheory::compile(argument);
-    let steps = theory
-        .step_indices()
-        .into_iter()
-        .map(|idx| {
+    let steps = (0..theory.step_count())
+        .map(|k| {
+            let parent = theory.step_parent(k).0;
             theory
-                .step_is_deductive(idx)
-                .expect("step_indices are checkable")
+                .step_is_deductive(parent)
+                .expect("step parents are checkable")
         })
         .collect();
     let root_entailed = theory.root_entailed();

@@ -40,14 +40,9 @@ use std::collections::HashMap;
 /// formalised descendants providing support"). Borrowed from the
 /// argument's nodes — theory assembly allocates no formula clones.
 pub fn formal_premises(argument: &Argument) -> Vec<&Formula> {
-    let mut seen = vec![None; argument.len()];
-    argument
-        .sorted_indices()
-        .map(|idx| (idx, argument.node_at(idx)))
-        .filter(|(idx, n)| {
-            n.is_formalised() && formalised_support_children(argument, *idx, &mut seen).is_empty()
-        })
-        .filter_map(|(_, n)| match &n.formal {
+    formal_premise_indices(argument)
+        .into_iter()
+        .filter_map(|idx| match &argument.node_at(idx).formal {
             Some(FormalPayload::Prop(f)) => Some(f),
             _ => None,
         })
@@ -60,12 +55,16 @@ pub fn formal_premises(argument: &Argument) -> Vec<&Formula> {
 /// premises (e.g. to anchor diagnostics) can ask without compiling.
 pub fn formal_premise_indices(argument: &Argument) -> Vec<NodeIdx> {
     let mut seen = vec![None; argument.len()];
+    let mut found = Vec::new();
     argument
         .sorted_indices()
-        .filter(|idx| {
-            let n = argument.node_at(*idx);
-            matches!(n.formal, Some(FormalPayload::Prop(_)))
-                && formalised_support_children(argument, *idx, &mut seen).is_empty()
+        .filter(|&idx| {
+            if !matches!(argument.node_at(idx).formal, Some(FormalPayload::Prop(_))) {
+                return false;
+            }
+            found.clear();
+            formalised_support_children(argument, idx, &mut seen, &mut found);
+            found.is_empty()
         })
         .collect()
 }
@@ -99,17 +98,18 @@ fn prop_payloads(argument: &Argument) -> impl Iterator<Item = (NodeIdx, &Formula
         })
 }
 
-/// Formalised children supporting `step`, depth first in child order,
-/// through the unformalised strategies GSN interposes between goals.
-/// `seen` has one slot per node and is shared by every walk of a pass;
-/// a slot stamped with `step` was reached in this walk, so each node is
-/// expanded at most once per step and a strategy cycle ends.
+/// Appends to `out` the formalised children supporting `step`, depth
+/// first in child order, through the unformalised strategies GSN
+/// interposes between goals. `seen` has one slot per node and is shared
+/// by every walk of a pass; a slot stamped with `step` was reached in
+/// this walk, so each node is expanded at most once per step and a
+/// strategy cycle ends.
 fn formalised_support_children(
     argument: &Argument,
     step: NodeIdx,
     seen: &mut [Option<NodeIdx>],
-) -> Vec<NodeIdx> {
-    let mut out = Vec::new();
+    out: &mut Vec<NodeIdx>,
+) {
     let mut children = argument.children_idx(step, EdgeKind::SupportedBy);
     // The child iterators of the strategies entered above `children`,
     // on the heap so that no graph depth can overflow the call stack.
@@ -118,7 +118,7 @@ fn formalised_support_children(
         let Some(idx) = children.next() else {
             match outer.pop() {
                 Some(resume) => children = resume,
-                None => return out,
+                None => return,
             }
             continue;
         };
@@ -293,16 +293,14 @@ pub struct ProbeReport {
 }
 
 /// One checkable support step: a parent with a propositional payload and
-/// formalised support including at least one propositional payload.
-#[derive(Debug, Clone)]
+/// formalised support including at least one propositional payload. Its
+/// children are `children[start..end]` of [`ArgumentTheory`]'s child
+/// table, where `start` is the previous step's `end`.
+#[derive(Debug, Clone, Copy)]
 struct Step {
     parent: NodeIdx,
     parent_lit: Lit,
-    /// Propositional support children, aligned index-for-index with
-    /// `child_lits` (formalised children with temporal payloads carry no
-    /// propositional literal and are excluded from both).
-    children: Vec<NodeIdx>,
-    child_lits: Vec<Lit>,
+    end: usize,
 }
 
 /// An argument's propositional skeleton, compiled once into an interned
@@ -335,10 +333,19 @@ struct Step {
 #[derive(Debug, Clone)]
 pub struct ArgumentTheory {
     theory: Theory,
+    /// Checkable support steps, in arena order.
     steps: Vec<Step>,
-    /// Formal leaves in sorted-id order, with their payload literals.
-    premises: Vec<(NodeIdx, Lit)>,
+    /// Every step's propositional support children with their literals,
+    /// step after step (formalised children with temporal payloads carry
+    /// no literal and are left out).
+    children: Vec<(NodeIdx, Lit)>,
+    /// Formal leaves in sorted-id order, aligned with `premise_lits`.
+    premises: Vec<NodeIdx>,
+    premise_lits: Vec<Lit>,
     conclusion: Option<(NodeIdx, Lit)>,
+    /// The assumption set of the question being asked, reused by every
+    /// question.
+    question: Vec<Lit>,
 }
 
 impl ArgumentTheory {
@@ -422,57 +429,70 @@ impl ArgumentTheory {
     }
 
     /// Builds the step/premise/conclusion tables over compiled payload
-    /// literals (one per arena slot, arena order).
+    /// literals (one per arena slot, arena order), with one support walk
+    /// per payload: a payload with formalised support is a step's
+    /// parent, one without is a premise.
     fn assemble(argument: &Argument, theory: Theory, lits: &[Option<Lit>]) -> Self {
-        // Checkable support steps, in arena order (the legacy report
-        // order of `non_deductive_steps`).
         let mut steps = Vec::new();
+        let mut children = Vec::new();
+        let mut is_premise = vec![false; argument.len()];
         let mut seen = vec![None; argument.len()];
+        let mut found = Vec::new();
         for idx in argument.node_indices() {
             let Some(parent_lit) = lits[idx.index()] else {
                 continue;
             };
-            let children = formalised_support_children(argument, idx, &mut seen);
-            if children.is_empty() {
+            found.clear();
+            formalised_support_children(argument, idx, &mut seen, &mut found);
+            if found.is_empty() {
+                is_premise[idx.index()] = true;
                 continue;
             }
-            let (children, child_lits): (Vec<NodeIdx>, Vec<Lit>) = children
-                .iter()
-                .filter_map(|c| lits[c.index()].map(|lit| (*c, lit)))
-                .unzip();
-            if child_lits.is_empty() {
-                continue;
+            let start = children.len();
+            children.extend(
+                found
+                    .iter()
+                    .filter_map(|c| lits[c.index()].map(|lit| (*c, lit))),
+            );
+            if children.len() > start {
+                steps.push(Step {
+                    parent: idx,
+                    parent_lit,
+                    end: children.len(),
+                });
             }
-            steps.push(Step {
-                parent: idx,
-                parent_lit,
-                children,
-                child_lits,
-            });
         }
-        // Premises (formal leaves, sorted order) and conclusion.
-        let premises = formal_premise_indices(argument)
-            .into_iter()
-            .filter_map(|idx| lits[idx.index()].map(|lit| (idx, lit)))
+        // Premises in sorted-id order, the order of `formal_premises`.
+        let premises: Vec<NodeIdx> = argument
+            .sorted_indices()
+            .filter(|idx| is_premise[idx.index()])
+            .collect();
+        let premise_lits = premises
+            .iter()
+            .filter_map(|idx| lits[idx.index()])
             .collect();
         let conclusion = formal_conclusion_index(argument)
             .and_then(|idx| lits[idx.index()].map(|lit| (idx, lit)));
         ArgumentTheory {
             theory,
             steps,
+            children,
             premises,
+            premise_lits,
             conclusion,
+            question: Vec::new(),
         }
     }
 
     /// Indices of the formal premise leaves, in sorted-id order.
-    pub fn premise_indices(&self) -> Vec<NodeIdx> {
-        self.premises.iter().map(|(idx, _)| *idx).collect()
+    pub fn premise_indices(&self) -> &[NodeIdx] {
+        &self.premises
     }
 
-    /// Parents of every checkable support step, in arena order.
-    pub fn step_indices(&self) -> Vec<NodeIdx> {
-        self.steps.iter().map(|s| s.parent).collect()
+    /// The compiled premise literals, aligned with [`formal_premises`]
+    /// (same nodes, same sorted order).
+    pub fn premise_lits(&self) -> &[Lit] {
+        &self.premise_lits
     }
 
     /// Index of the formal conclusion node, if any.
@@ -480,36 +500,31 @@ impl ArgumentTheory {
         self.conclusion.map(|(idx, _)| idx)
     }
 
-    /// The compiled literals of the support step into `idx`: the
-    /// parent's payload literal and the literals of its propositional
-    /// support children. `None` when the step is not checkable. Lets
-    /// downstream analyses (e.g. the circular-justification lint) ask
-    /// per-edge questions against this compilation instead of paying a
-    /// second Tseitin pass.
-    pub fn step_lits(&self, idx: NodeIdx) -> Option<(Lit, &[Lit])> {
-        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
-        Some((self.steps[i].parent_lit, &self.steps[i].child_lits))
-    }
-
-    /// The propositional support children of the step into `idx`,
-    /// aligned index-for-index with the child literals of
-    /// [`step_lits`](Self::step_lits). `None` when the step is not
-    /// checkable.
-    pub fn step_children(&self, idx: NodeIdx) -> Option<&[NodeIdx]> {
-        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
-        Some(&self.steps[i].children)
-    }
-
-    /// The compiled premise literals, aligned with [`formal_premises`]
-    /// (same nodes, same sorted order).
-    pub fn premise_lits(&self) -> Vec<Lit> {
-        self.premises.iter().map(|(_, lit)| *lit).collect()
-    }
-
     /// The compiled conclusion literal, aligned with
     /// [`formal_conclusion`].
     pub fn conclusion_lit(&self) -> Option<Lit> {
         self.conclusion.map(|(_, lit)| lit)
+    }
+
+    /// Number of checkable support steps. Steps are numbered `0..` in
+    /// arena order of their parents.
+    pub fn step_count(&self) -> usize {
+        self.steps.len()
+    }
+
+    /// Step `k`'s parent claim and its payload literal.
+    pub fn step_parent(&self, k: usize) -> (NodeIdx, Lit) {
+        (self.steps[k].parent, self.steps[k].parent_lit)
+    }
+
+    /// Step `k`'s propositional support children with their payload
+    /// literals, depth first through strategies. Lets downstream
+    /// analyses (e.g. the circular-justification lint) ask per-edge
+    /// questions against this compilation instead of paying a second
+    /// Tseitin pass.
+    pub fn step_children(&self, k: usize) -> &[(NodeIdx, Lit)] {
+        let start = k.checked_sub(1).map_or(0, |prev| self.steps[prev].end);
+        &self.children[start..self.steps[k].end]
     }
 
     /// The underlying solver session, for callers (e.g. the fallacy
@@ -519,57 +534,85 @@ impl ArgumentTheory {
         &mut self.theory
     }
 
-    /// The question behind the support step into `idx`: its children's
-    /// literals assumed, the parent's denied. Unsatisfiable exactly when
-    /// the step is deductive. `None` when the step is not checkable.
-    ///
-    /// Every consumer of step verdicts (the machine check, CK106, the
-    /// incremental service) asks this same assumption set, so a cache
-    /// keyed on assumption sets answers all of them after the first.
-    pub fn step_question(&self, idx: NodeIdx) -> Option<Vec<Lit>> {
-        // Steps are built in arena order, so parents are sorted.
-        let i = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
-        let step = &self.steps[i];
-        Some(
-            step.child_lits
-                .iter()
-                .copied()
-                .chain([!step.parent_lit])
-                .collect(),
-        )
+    /// The compiled premise literals together with the solver session,
+    /// for callers (the fallacy detectors) that ask questions over the
+    /// premises without copying them out first.
+    pub fn premise_lits_and_theory(&mut self) -> (&[Lit], &mut Theory) {
+        (&self.premise_lits, &mut self.theory)
     }
 
-    /// The entailment question: every premise but the `skip`-th
-    /// assumed, the conclusion denied. Unsatisfiable exactly when those
-    /// premises entail the conclusion; `skip = None` is the root
-    /// entailment, `Some(i)` Rushby's drop-probe of premise `i`. `None`
-    /// when there is no formal conclusion.
-    pub fn entailment_question(&self, skip: Option<usize>) -> Option<Vec<Lit>> {
+    /// Asks step `k`'s question through `pool`: its children's literals
+    /// assumed, the parent's denied. Satisfiable — `true`, a
+    /// counterexample — exactly when the step is not deductive.
+    ///
+    /// Every consumer of step verdicts asks this same assumption set, so
+    /// the pool answers all of them after the first, and a session that
+    /// keeps the pool answers an unchanged step without the solver.
+    pub fn step_counterexample(&mut self, k: usize, pool: &mut WitnessPool) -> bool {
+        self.step_question(k);
+        pool.check(&mut self.theory, &self.question)
+    }
+
+    /// Asks the entailment question through `pool`: every premise but
+    /// the `skip`-th assumed, the conclusion denied. Satisfiable —
+    /// `true`, a counterexample — exactly when those premises do not
+    /// entail the conclusion; `skip = None` is the root entailment,
+    /// `Some(i)` Rushby's drop-probe of premise `i`. `None` when there
+    /// is no formal conclusion.
+    pub fn entailment_counterexample(
+        &mut self,
+        skip: Option<usize>,
+        pool: &mut WitnessPool,
+    ) -> Option<bool> {
+        self.entailment_question(skip)?;
+        Some(pool.check(&mut self.theory, &self.question))
+    }
+
+    /// Writes step `k`'s question into the reused question buffer.
+    fn step_question(&mut self, k: usize) {
+        let start = k.checked_sub(1).map_or(0, |prev| self.steps[prev].end);
+        let step = self.steps[k];
+        self.question.clear();
+        self.question
+            .extend(self.children[start..step.end].iter().map(|&(_, lit)| lit));
+        self.question.push(!step.parent_lit);
+    }
+
+    /// Writes the entailment question into the reused question buffer;
+    /// `None` when there is no formal conclusion.
+    fn entailment_question(&mut self, skip: Option<usize>) -> Option<()> {
         let (_, conclusion_lit) = self.conclusion?;
-        Some(
-            self.premises
+        self.question.clear();
+        self.question.extend(
+            self.premise_lits
                 .iter()
                 .enumerate()
-                .filter(|(i, _)| Some(*i) != skip)
-                .map(|(_, &(_, lit))| lit)
-                .chain([!conclusion_lit])
-                .collect(),
-        )
+                .filter(|&(i, _)| Some(i) != skip)
+                .map(|(_, &lit)| lit),
+        );
+        self.question.push(!conclusion_lit);
+        Some(())
     }
 
     /// Whether the support step into `idx` is deductively valid (`None`
     /// when the step is not checkable).
     pub fn step_is_deductive(&mut self, idx: NodeIdx) -> Option<bool> {
-        let question = self.step_question(idx)?;
-        Some(!self.theory.check_under(question))
+        // Steps are built in arena order, so parents are sorted.
+        let k = self.steps.binary_search_by_key(&idx, |s| s.parent).ok()?;
+        self.step_question(k);
+        Some(!self.theory.check_under(self.question.iter().copied()))
     }
 
     /// Parents of every non-deductive formalised step, in arena order.
     pub fn non_deductive_step_indices(&mut self) -> Vec<NodeIdx> {
-        self.step_indices()
-            .into_iter()
-            .filter(|&idx| self.step_is_deductive(idx) == Some(false))
-            .collect()
+        let mut out = Vec::new();
+        for k in 0..self.steps.len() {
+            self.step_question(k);
+            if self.theory.check_under(self.question.iter().copied()) {
+                out.push(self.steps[k].parent);
+            }
+        }
+        out
     }
 
     /// Whether the formal premises entail the formal conclusion (`None`
@@ -578,36 +621,40 @@ impl ArgumentTheory {
         if self.premises.is_empty() {
             return None;
         }
-        let question = self.entailment_question(None)?;
-        Some(!self.theory.check_under(question))
+        self.entailment_question(None)?;
+        Some(!self.theory.check_under(self.question.iter().copied()))
     }
 
     /// Rushby's what-if probe over the formal skeleton: the root
-    /// [`entailment_question`](Self::entailment_question), then — when
-    /// it holds — one drop-probe per premise in premise order, every
-    /// question asked through `pool`. CK104, the case service and the
-    /// one-shot [`probe_argument`] all probe through this method, so
-    /// each asks the same assumption sets in the same order. `None`
+    /// entailment question, then — when it holds — one drop-probe per
+    /// premise in premise order, every question asked through `pool`.
+    /// CK104, the case service and the one-shot [`probe_argument`] all
+    /// probe through this method or [`probe_given`](Self::probe_given),
+    /// so each asks the same assumption sets in the same order. `None`
     /// when there is no formal conclusion.
     pub fn probe(&mut self, pool: &mut WitnessPool) -> Option<ProbeReport> {
-        let mut holds = |this: &mut Self, skip| {
-            let question = this.entailment_question(skip)?;
-            Some(!pool.check(&mut this.theory, &question))
+        let entailed = !self.entailment_counterexample(None, pool)?;
+        Some(self.probe_given(entailed, pool))
+    }
+
+    /// [`probe`](Self::probe) for a caller that has asked the root
+    /// entailment question already: `entailed` must be its verdict.
+    /// Asks only the drop-probes, and only when `entailed` holds.
+    pub fn probe_given(&mut self, entailed: bool, pool: &mut WitnessPool) -> ProbeReport {
+        let mut report = ProbeReport {
+            entailed,
+            critical: Vec::new(),
+            idle: Vec::new(),
         };
-        if !holds(self, None)? {
-            return Some(ProbeReport {
-                entailed: false,
-                critical: Vec::new(),
-                idle: Vec::new(),
-            });
+        if entailed {
+            for i in 0..self.premises.len() {
+                match self.entailment_counterexample(Some(i), pool) {
+                    Some(false) => report.idle.push(i),
+                    _ => report.critical.push(i),
+                }
+            }
         }
-        let (idle, critical) =
-            (0..self.premises.len()).partition(|&i| holds(self, Some(i)) == Some(true));
-        Some(ProbeReport {
-            entailed: true,
-            critical,
-            idle,
-        })
+        report
     }
 }
 
@@ -714,23 +761,24 @@ mod tests {
     fn step_literals_align_with_step_children() {
         let a = deductive_case();
         let mut theory = ArgumentTheory::compile(&a);
+        // Leaves compile no step: g1's is the only one.
+        assert_eq!(theory.step_count(), 1);
         // Steps reach through the unformalised strategy: the compiled
         // step parents g1 directly onto g2/g3.
-        let g1 = a.node_idx(&"g1".into()).unwrap();
-        let (parent_lit, child_lits) = theory.step_lits(g1).expect("g1 is a compiled step");
-        let children = theory.step_children(g1).expect("g1 is a compiled step");
-        assert_eq!(child_lits.len(), 2);
-        assert_eq!(children.len(), child_lits.len());
-        let ids: Vec<&str> = children.iter().map(|c| a.id_at(*c).as_str()).collect();
+        let (parent, parent_lit) = theory.step_parent(0);
+        assert_eq!(a.id_at(parent).as_str(), "g1");
+        let children = theory.step_children(0).to_vec();
+        let ids: Vec<&str> = children.iter().map(|&(c, _)| a.id_at(c).as_str()).collect();
         assert_eq!(ids, vec!["g2", "g3"]);
         // The step literals answer the same entailment question as the
         // step API: premises assumed, parent denied, must be UNSAT.
-        let assumptions: Vec<_> = child_lits.iter().copied().chain([!parent_lit]).collect();
+        let assumptions: Vec<_> = children
+            .iter()
+            .map(|&(_, lit)| lit)
+            .chain([!parent_lit])
+            .collect();
         assert!(!theory.theory_mut().check_under(assumptions));
-        // Leaves compile no step.
-        let g2 = a.node_idx(&"g2".into()).unwrap();
-        assert!(theory.step_lits(g2).is_none());
-        assert!(theory.step_children(g2).is_none());
+        assert!(!theory.step_counterexample(0, &mut WitnessPool::new()));
     }
 
     #[test]
@@ -858,11 +906,11 @@ mod tests {
     fn step_children(src: &str, step: &str) -> Vec<String> {
         let a = crate::dsl::parse_argument(src).unwrap();
         let idx = a.node_idx(&step.into()).unwrap();
-        ArgumentTheory::compile(&a)
-            .step_children(idx)
-            .unwrap_or_default()
-            .iter()
-            .map(|&c| a.id_at(c).to_string())
+        let theory = ArgumentTheory::compile(&a);
+        (0..theory.step_count())
+            .filter(|&k| theory.step_parent(k).0 == idx)
+            .flat_map(|k| theory.step_children(k))
+            .map(|&(c, _)| a.id_at(c).to_string())
             .collect()
     }
 
@@ -925,7 +973,12 @@ mod tests {
         let (mut inc, stats) = ArgumentTheory::recompile(&a, Theory::new(), &mut cache);
         // Same tables, same literal numbering, same verdicts.
         assert_eq!(inc.premise_indices(), batch.premise_indices());
-        assert_eq!(inc.step_indices(), batch.step_indices());
+        let steps = |theory: &ArgumentTheory| -> Vec<_> {
+            (0..theory.step_count())
+                .map(|k| (theory.step_parent(k), theory.step_children(k).to_vec()))
+                .collect()
+        };
+        assert_eq!(steps(&inc), steps(&batch));
         assert_eq!(inc.conclusion_index(), batch.conclusion_index());
         assert_eq!(inc.premise_lits(), batch.premise_lits());
         assert_eq!(inc.conclusion_lit(), batch.conclusion_lit());

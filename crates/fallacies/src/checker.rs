@@ -7,11 +7,16 @@
 //! [`crate::taxonomy::FormalFallacy`] and entailment findings: the type
 //! system itself enforces the paper's §IV-C claim that machine checking
 //! cannot return informal-fallacy findings.
+//!
+//! [`check_argument`] is the batch reference: it compiles the argument
+//! and asks every question itself. The incremental case service builds
+//! the same report from the verdicts of its CaseLint run, and its
+//! agreement tests compare that report with this function's.
 
 use crate::formal;
 use crate::taxonomy::FormalFallacy;
 use casekit_core::semantics::{formal_conclusion, formal_premises, ArgumentTheory};
-use casekit_core::{Argument, NodeId};
+use casekit_core::{Argument, NodeId, NodeIdx};
 use casekit_logic::prop::WitnessPool;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -61,6 +66,37 @@ pub struct MachineReport {
 }
 
 impl MachineReport {
+    /// The report on `argument` from its verdicts, findings in the order
+    /// the checker lists them: the parents of the non-deductive steps
+    /// in step order, the root entailment when it was asked and fails,
+    /// then the formal fallacy findings in detector order.
+    pub fn from_verdicts(
+        argument: &Argument,
+        non_deductive: Vec<NodeIdx>,
+        entailed: Option<bool>,
+        fallacies: Vec<formal::Finding>,
+    ) -> Self {
+        let steps = non_deductive
+            .into_iter()
+            .map(|idx| MachineFinding::NonDeductiveStep {
+                node: argument.id_at(idx).clone(),
+            });
+        let entailment = (entailed == Some(false)).then_some(MachineFinding::ConclusionNotEntailed);
+        let fallacies = fallacies
+            .into_iter()
+            .map(|finding| MachineFinding::Fallacy {
+                fallacy: finding.fallacy,
+                detail: finding.detail,
+            });
+        let formal_nodes = argument.formalised_count();
+        MachineReport {
+            findings: steps.chain(entailment).chain(fallacies).collect(),
+            formal_nodes,
+            // A formal conclusion is itself a formalised node.
+            checkable: formal_nodes > 0,
+        }
+    }
+
     /// Whether the machine found nothing (which, per the paper, licenses
     /// only the conclusion "no *formal* fallacies detected").
     pub fn is_clean(&self) -> bool {
@@ -71,91 +107,62 @@ impl MachineReport {
 /// Mechanically checks `argument`'s formal skeleton.
 ///
 /// The propositional payloads are compiled once into an
-/// [`ArgumentTheory`] session, and [`check_compiled`] asks every
-/// question through a fresh [`WitnessPool`]. The fallacy detectors run
-/// over borrowed premise references — no `Formula` clones anywhere on
-/// the path.
+/// [`ArgumentTheory`] session, and every question — each step verdict,
+/// the root entailment and the fallacy detectors — is asked through one
+/// fresh [`WitnessPool`]. The fallacy detectors run over borrowed
+/// premise references — no `Formula` clones anywhere on the path.
 ///
-/// Callers that check the same argument repeatedly should compile once
-/// and call [`check_compiled`] with a pool they keep, instead of paying
-/// this compilation every time.
+/// As the batch reference, it reads the premises and the conclusion off
+/// the argument with [`formal_premises`] and [`formal_conclusion`] and
+/// shares no verdict with CaseLint.
 pub fn check_argument(argument: &Argument) -> MachineReport {
     let mut theory = ArgumentTheory::compile(argument);
     check_compiled(argument, &mut theory, &mut WitnessPool::new())
 }
 
 /// [`check_argument`] against an already-compiled theory session, with
-/// every solver question — each step verdict, the root entailment and
-/// the fallacy detectors — asked through `pool`.
-///
-/// `theory` must be a session over this `argument` (fresh from
-/// [`ArgumentTheory::compile`], or a long-lived one); the premise and
-/// conclusion literal lists are aligned with the argument's formal
-/// skeleton by construction. Checks fully retract their assumptions, so
-/// one session can serve any number of calls. A caller that keeps the
-/// pool across calls (the incremental case service keeps one per case)
-/// gets the same report from a warm pool as from a cold one.
-pub fn check_compiled(
+/// every question asked through `pool`. `theory` must be a session over
+/// this `argument`; checks fully retract their assumptions, so one
+/// session and pool can serve any number of calls, and a warm pool
+/// gives the same report as a cold one.
+fn check_compiled(
     argument: &Argument,
     theory: &mut ArgumentTheory,
     pool: &mut WitnessPool,
 ) -> MachineReport {
-    let premises = formal_premises(argument);
-    let conclusion = formal_conclusion(argument);
-    let formal_nodes = argument.formalised_count();
-    let mut findings = Vec::new();
-    for idx in theory.step_indices() {
-        let question = theory
-            .step_question(idx)
-            .expect("step_indices yields only checkable steps");
-        if pool.check(theory.theory_mut(), &question) {
-            findings.push(MachineFinding::NonDeductiveStep {
-                node: argument.id_at(idx).clone(),
-            });
+    let mut non_deductive = Vec::new();
+    for k in 0..theory.step_count() {
+        if theory.step_counterexample(k, pool) {
+            non_deductive.push(theory.step_parent(k).0);
         }
     }
-
-    let checkable = match (&conclusion, premises.is_empty()) {
-        (Some(_), false) => true,
-        _ => formal_nodes > 0,
-    };
-
-    if let Some(conclusion) = conclusion {
+    let premises = formal_premises(argument);
+    let mut entailed = None;
+    let mut fallacies = Vec::new();
+    if let (Some(conclusion), false) = (formal_conclusion(argument), premises.is_empty()) {
         // A formal conclusion always compiles to a literal; if it ever
         // did not, skip these questions rather than panic.
-        if let (false, Some(question), Some(conclusion_lit)) = (
-            premises.is_empty(),
-            theory.entailment_question(None),
+        if let (Some(not_entailed), Some(conclusion_lit)) = (
+            theory.entailment_counterexample(None, pool),
             theory.conclusion_lit(),
         ) {
-            if pool.check(theory.theory_mut(), &question) {
-                findings.push(MachineFinding::ConclusionNotEntailed);
-            }
+            entailed = Some(!not_entailed);
             // The detectors reuse the argument's compiled literals
             // (premise/conclusion lists are aligned by construction) —
             // still one Tseitin pass per argument.
-            let premise_lits = theory.premise_lits();
-            for finding in formal::detect_all_compiled_with(
-                theory.theory_mut(),
+            let (premise_lits, theory) = theory.premise_lits_and_theory();
+            let session = formal::Compiled {
+                theory,
                 pool,
                 premise_lits,
                 conclusion_lit,
-                &premises,
-                conclusion,
-            ) {
-                findings.push(MachineFinding::Fallacy {
-                    fallacy: finding.fallacy,
-                    detail: finding.detail,
-                });
-            }
+                consistent: None,
+                entailed,
+            };
+            fallacies = formal::detect_all_compiled_with(session, &premises, conclusion);
         }
     }
-
-    MachineReport {
-        findings,
-        formal_nodes,
-        checkable,
-    }
+    MachineReport::from_verdicts(argument, non_deductive, entailed, fallacies)
 }
 
 #[cfg(test)]

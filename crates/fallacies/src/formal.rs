@@ -15,8 +15,11 @@
 //! asked through one [`WitnessPool`]: a stored model answers every later
 //! question it satisfies, and only the rest are `assume`/`check`/`retract`
 //! rounds. [`detect_all_compiled_with`] runs all six detectors on the
-//! caller's compilation and pool; each standalone detector compiles its
-//! premises and conclusion once and starts a fresh pool. Premises are
+//! caller's compilation and pool ([`Compiled`]), asking premise
+//! consistency and entailment at most once between them, and not at
+//! all when the caller passes the verdicts it holds; each standalone
+//! detector compiles its premises and conclusion once and starts a
+//! fresh pool. Premises are
 //! accepted as anything borrowable as a [`Formula`], so callers holding
 //! `Vec<&Formula>` (the allocation-free path out of
 //! `casekit-core::semantics`) and callers holding `Vec<Formula>` both
@@ -45,16 +48,29 @@ impl fmt::Display for Finding {
     }
 }
 
-/// One compiled premises/conclusion theory, shared by every detector,
-/// with every question asked through one pool.
-struct Session<'s> {
-    theory: &'s mut Theory,
-    pool: &'s mut WitnessPool,
-    premise_lits: Vec<Lit>,
-    conclusion_lit: Lit,
+/// Premises and a conclusion compiled into one theory, shared by every
+/// detector, with every question asked through one pool.
+///
+/// `consistent` and `entailed` hold the verdicts the caller has already
+/// asked about these premises and this conclusion (`None`: not asked
+/// yet); a detector that needs one asks it at most once, so a caller
+/// that holds a verdict passes it and the question is not asked again.
+pub struct Compiled<'s> {
+    /// The theory the literals were compiled into.
+    pub theory: &'s mut Theory,
+    /// The pool every question goes through.
+    pub pool: &'s mut WitnessPool,
+    /// The compiled premises, in premise order.
+    pub premise_lits: &'s [Lit],
+    /// The compiled conclusion.
+    pub conclusion_lit: Lit,
+    /// Whether the premises are jointly satisfiable, if known.
+    pub consistent: Option<bool>,
+    /// Whether the premises entail the conclusion, if known.
+    pub entailed: Option<bool>,
 }
 
-impl Session<'_> {
+impl Compiled<'_> {
     /// Satisfiability of an assumption set, with automatic retraction.
     fn sat(&mut self, assumptions: &[Lit]) -> bool {
         self.pool.check(self.theory, assumptions)
@@ -62,21 +78,29 @@ impl Session<'_> {
 
     /// Whether the full premise set entails the conclusion.
     fn entailed(&mut self) -> bool {
-        let mut assumptions = self.premise_lits.clone();
+        if let Some(entailed) = self.entailed {
+            return entailed;
+        }
+        let mut assumptions = self.premise_lits.to_vec();
         assumptions.push(!self.conclusion_lit);
-        !self.sat(&assumptions)
+        let entailed = !self.sat(&assumptions);
+        self.entailed = Some(entailed);
+        entailed
     }
 
     /// Whether the premises are jointly satisfiable.
     fn premises_consistent(&mut self) -> bool {
-        let assumptions = self.premise_lits.clone();
-        self.sat(&assumptions)
+        if let Some(consistent) = self.consistent {
+            return consistent;
+        }
+        let consistent = self.pool.check(self.theory, self.premise_lits);
+        self.consistent = Some(consistent);
+        consistent
     }
 
     /// Whether premises `0..=upto` are jointly unsatisfiable.
     fn prefix_inconsistent(&mut self, upto: usize) -> bool {
-        let assumptions: Vec<Lit> = self.premise_lits[..=upto].to_vec();
-        !self.sat(&assumptions)
+        !self.pool.check(self.theory, &self.premise_lits[..=upto])
     }
 
     /// Whether premise `i` and the conclusion contradict.
@@ -97,47 +121,42 @@ impl Session<'_> {
 fn standalone<B: Borrow<Formula>, R>(
     premises: &[B],
     conclusion: &Formula,
-    detect: impl FnOnce(&mut Session<'_>) -> R,
+    detect: impl FnOnce(&mut Compiled<'_>) -> R,
 ) -> R {
     let mut theory = Theory::new();
-    let premise_lits = premises
+    let premise_lits: Vec<Lit> = premises
         .iter()
         .map(|p| theory.formula_lit(p.borrow()))
         .collect();
     let conclusion_lit = theory.formula_lit(conclusion);
-    detect(&mut Session {
+    detect(&mut Compiled {
         theory: &mut theory,
         pool: &mut WitnessPool::new(),
-        premise_lits,
+        premise_lits: &premise_lits,
         conclusion_lit,
+        consistent: None,
+        entailed: None,
     })
 }
 
 /// Runs every propositional detector against formulas *already
-/// compiled* into `theory`, with every satisfiability question asked
-/// through `pool`: `premise_lits`/`conclusion_lit` must be the compiled
-/// equivalents of `premises`/`conclusion` (in the same order). Used by
-/// the machine checker and CaseLint to reuse the one-per-argument
-/// `ArgumentTheory` compilation instead of Tseitin-compiling every
-/// payload a second time. Findings are the same with a cold pool or a
-/// warm one.
+/// compiled* into `session`'s theory, with every satisfiability
+/// question asked through its pool: `premise_lits`/`conclusion_lit`
+/// must be the compiled equivalents of `premises`/`conclusion` (in the
+/// same order). Used by the machine checker and CaseLint to reuse the
+/// one-per-argument `ArgumentTheory` compilation instead of
+/// Tseitin-compiling every payload a second time. Findings are the same
+/// with a cold pool or a warm one, and with the known verdicts passed or
+/// left to be asked.
 pub fn detect_all_compiled_with<B: Borrow<Formula>>(
-    theory: &mut Theory,
-    pool: &mut WitnessPool,
-    premise_lits: Vec<Lit>,
-    conclusion_lit: Lit,
+    mut session: Compiled<'_>,
     premises: &[B],
     conclusion: &Formula,
 ) -> Vec<Finding> {
-    let mut session = Session {
-        theory,
-        pool,
-        premise_lits,
-        conclusion_lit,
-    };
-    let mut findings = begging_in(&mut session, premises, conclusion);
-    findings.extend(incompatible_in(&mut session, premises));
-    findings.extend(contradiction_in(&mut session, premises, conclusion));
+    let session = &mut session;
+    let mut findings = begging_in(session, premises, conclusion);
+    findings.extend(incompatible_in(session, premises));
+    findings.extend(contradiction_in(session, premises, conclusion));
     let entailed = session.entailed();
     findings.extend(denying_in(premises, conclusion, entailed));
     findings.extend(affirming_in(premises, conclusion, entailed));
@@ -157,7 +176,7 @@ pub fn begging_the_question<B: Borrow<Formula>>(
 }
 
 fn begging_in<B: Borrow<Formula>>(
-    session: &mut Session,
+    session: &mut Compiled,
     premises: &[B],
     conclusion: &Formula,
 ) -> Vec<Finding> {
@@ -184,7 +203,7 @@ pub fn incompatible_premises<B: Borrow<Formula>>(premises: &[B]) -> Vec<Finding>
     })
 }
 
-fn incompatible_in<B: Borrow<Formula>>(session: &mut Session, premises: &[B]) -> Vec<Finding> {
+fn incompatible_in<B: Borrow<Formula>>(session: &mut Compiled, premises: &[B]) -> Vec<Finding> {
     if premises.is_empty() || session.premises_consistent() {
         return Vec::new();
     }
@@ -221,7 +240,7 @@ pub fn premise_conclusion_contradiction<B: Borrow<Formula>>(
 }
 
 fn contradiction_in<B: Borrow<Formula>>(
-    session: &mut Session,
+    session: &mut Compiled,
     premises: &[B],
     _conclusion: &Formula,
 ) -> Vec<Finding> {
@@ -380,19 +399,20 @@ mod tests {
     /// this test compiles and a fresh pool.
     fn compiled_findings<B: Borrow<Formula>>(premises: &[B], conclusion: &Formula) -> Vec<Finding> {
         let mut theory = Theory::new();
-        let premise_lits = premises
+        let premise_lits: Vec<Lit> = premises
             .iter()
             .map(|p| theory.formula_lit(p.borrow()))
             .collect();
         let conclusion_lit = theory.formula_lit(conclusion);
-        detect_all_compiled_with(
-            &mut theory,
-            &mut WitnessPool::new(),
-            premise_lits,
+        let session = Compiled {
+            theory: &mut theory,
+            pool: &mut WitnessPool::new(),
+            premise_lits: &premise_lits,
             conclusion_lit,
-            premises,
-            conclusion,
-        )
+            consistent: None,
+            entailed: None,
+        };
+        detect_all_compiled_with(session, premises, conclusion)
     }
 
     #[test]

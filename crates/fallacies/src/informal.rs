@@ -138,19 +138,21 @@ pub fn glossary_equivocation_lint(glossary: &BTreeMap<(NodeId, String), String>)
 /// fragile, as the tests show.
 pub fn quantifier_mismatch_lint(argument: &Argument) -> Vec<Cue> {
     let mut cues = Vec::new();
-    for node in argument.nodes() {
-        let text = node.text.to_lowercase();
-        let claims_all = text.contains("all ") || text.starts_with("all");
+    for idx in argument.sorted_indices() {
+        let node = argument.node_at(idx);
+        let claims_all = lower_contains(&node.text, "all ") || lower_starts_with(&node.text, "all");
         if !claims_all {
             continue;
         }
-        let support = argument.children(&node.id, casekit_core::EdgeKind::SupportedBy);
-        if support.is_empty() {
+        let mut support = argument
+            .children_idx(idx, casekit_core::EdgeKind::SupportedBy)
+            .peekable();
+        if support.peek().is_none() {
             continue;
         }
-        let all_partial = support.iter().all(|c| {
-            let t = c.text.to_lowercase();
-            t.contains("some ") || t.contains("sample") || t.contains("subset")
+        let all_partial = support.all(|c| {
+            let t = &argument.node_at(c).text;
+            lower_contains(t, "some ") || lower_contains(t, "sample") || lower_contains(t, "subset")
         });
         if all_partial {
             cues.push(Cue {
@@ -164,6 +166,30 @@ pub fn quantifier_mismatch_lint(argument: &Argument) -> Vec<Cue> {
         }
     }
     cues
+}
+
+/// `text.to_lowercase().starts_with(pattern)` for a lowercase ASCII
+/// `pattern`, without allocating when `text` is ASCII, which lowercases
+/// byte for byte.
+fn lower_starts_with(text: &str, pattern: &str) -> bool {
+    if text.is_ascii() {
+        let head = text.as_bytes().get(..pattern.len());
+        head.is_some_and(|head| head.eq_ignore_ascii_case(pattern.as_bytes()))
+    } else {
+        text.to_lowercase().starts_with(pattern)
+    }
+}
+
+/// `text.to_lowercase().contains(pattern)` for a non-empty lowercase
+/// ASCII `pattern`, without allocating when `text` is ASCII.
+fn lower_contains(text: &str, pattern: &str) -> bool {
+    if text.is_ascii() {
+        text.as_bytes()
+            .windows(pattern.len())
+            .any(|window| window.eq_ignore_ascii_case(pattern.as_bytes()))
+    } else {
+        text.to_lowercase().contains(pattern)
+    }
 }
 
 #[cfg(test)]
@@ -254,6 +280,39 @@ mod tests {
         )
         .unwrap();
         assert!(quantifier_mismatch_lint(&arg).is_empty());
+    }
+
+    #[test]
+    fn cue_matching_agrees_with_to_lowercase() {
+        let texts = [
+            "",
+            "All",
+            "ALL hazards",
+            "Overall safe",
+            "SOME SAMPLES",
+            "a SUBSET",
+            "ΣALL ",
+            "ÖDΣ alls",
+            "İall ",
+            "\u{212A}some \u{0130}",
+            "so me",
+            "sampl",
+        ];
+        for text in texts {
+            let lower = text.to_lowercase();
+            for pattern in ["all ", "all", "some ", "sample", "subset"] {
+                assert_eq!(
+                    lower_contains(text, pattern),
+                    lower.contains(pattern),
+                    "{text:?} contains {pattern:?}"
+                );
+                assert_eq!(
+                    lower_starts_with(text, pattern),
+                    lower.starts_with(pattern),
+                    "{text:?} starts with {pattern:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -64,6 +64,9 @@ pub struct WitnessPool {
     /// Assumption sets proven UNSAT, stored as sorted, deduplicated
     /// literal codes.
     unsat_cores: Vec<Vec<usize>>,
+    /// The codes of the question being looked up, reused by every
+    /// lookup the witnesses miss; copied only into a new UNSAT set.
+    codes: Vec<usize>,
     /// Solver calls actually paid (diagnostic counters for tests).
     solver_calls: usize,
     /// Checks answered from a stored witness or unsat set.
@@ -128,13 +131,14 @@ impl WitnessPool {
         // Premises that compile to one literal repeat its code; a set
         // stored with repeats would fail the subset test against every
         // superset that carries the literal once.
-        let mut codes: Vec<usize> = assumptions.iter().map(|l| l.code()).collect();
-        codes.sort_unstable();
-        codes.dedup();
+        self.codes.clear();
+        self.codes.extend(assumptions.iter().map(|l| l.code()));
+        self.codes.sort_unstable();
+        self.codes.dedup();
         if self
             .unsat_cores
             .iter()
-            .any(|core| is_sorted_subset(core, &codes))
+            .any(|core| is_sorted_subset(core, &self.codes))
         {
             self.witness_hits += 1;
             return false;
@@ -146,7 +150,7 @@ impl WitnessPool {
                 true
             }
             None => {
-                self.unsat_cores.push(codes);
+                self.unsat_cores.push(self.codes.clone());
                 false
             }
         }

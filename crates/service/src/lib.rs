@@ -34,16 +34,19 @@
 //!   impossible).
 //!
 //! **One question plane per revision.** Every solver question
-//! [`CaseSession::answers`] asks — each support step's verdict, the root
-//! entailment, every lint pass, and the premise probe's drop-probes —
-//! is an assumption set over the compiled literals, built by one
-//! `ArgumentTheory` method
-//! ([`step_question`](casekit_core::semantics::ArgumentTheory::step_question),
-//! [`entailment_question`](casekit_core::semantics::ArgumentTheory::entailment_question))
-//! and answered through the session's one pool. The probe is
-//! [`ArgumentTheory::probe`](casekit_core::semantics::ArgumentTheory::probe),
-//! the same method CaseLint's CK104 reads its idle premises from. A question two
-//! consumers share reaches the CDCL core once. The pool also replaces a
+//! [`CaseSession::answers`] asks — each support step's verdict,
+//! premise consistency, the root entailment, the drop-probes of the
+//! premise probe, and the other lint passes' questions — is an
+//! assumption set over the compiled literals, built in one reused
+//! buffer by an `ArgumentTheory` method
+//! ([`step_counterexample`](casekit_core::semantics::ArgumentTheory::step_counterexample),
+//! [`entailment_counterexample`](casekit_core::semantics::ArgumentTheory::entailment_counterexample))
+//! and answered through the session's one pool. One CaseLint run asks
+//! them ([`analyse_compiled`](casekit_analysis::analyse_compiled)), each
+//! once, and the machine report and the probe are read off its verdicts:
+//! the probe is CK104's when CK104 ran, and otherwise
+//! [`ArgumentTheory::probe`](casekit_core::semantics::ArgumentTheory::probe)
+//! after the lint passes. The pool also replaces a
 //! step-verdict cache: recompiling an edited case keeps the literal of
 //! every unchanged payload, so an unchanged step asks the identical
 //! assumption set it asked before, and the stored witness (SAT) or
@@ -54,8 +57,10 @@
 //! under added clauses, and a witness never answers a question over a
 //! variable newer than itself. Only questions over new literals, or
 //! new combinations of old ones, pay a solve —
-//! [`SessionStats::solver_calls`] counts them, and the machine report
-//! still lists findings in the exact order of the batch checker. An
+//! [`SessionStats::solver_calls`] counts them, and
+//! [`SessionStats::witness_hits`] the lookups the pool answered. The
+//! machine report still lists findings in the exact order of the batch
+//! checker. An
 //! undo, or any other edit back to a formula compiled since the last
 //! whole-theory invalidation, brings back its old literals, and with
 //! them questions the pool has answered.
@@ -78,9 +83,12 @@
 //!
 //! **Batched questions.** [`CaseSession::answers`] returns the machine
 //! check, the full CaseLint diagnostic stream, and the premise probe
-//! classification in one pass over the shared compilation, and caches
-//! the bundle until the next edit. Every answer is verdict-identical
-//! to recompiling from scratch with fresh pools ([`batch_answers`]) —
+//! classification from one CaseLint run over the shared compilation,
+//! and caches the bundle until the next edit. The machine report comes
+//! from the run's verdicts, not its diagnostics, so no lint level
+//! changes it. Every answer is verdict-identical to recompiling from
+//! scratch with fresh pools ([`batch_answers`], whose machine report is
+//! the independent batch checker's) —
 //! the service proptests and `BENCH_service.json`'s `answers_agree`
 //! flag check exactly that, after every step of random edit scripts.
 //! The pool itself is checked against the raw solver, question by
@@ -473,6 +481,34 @@ mod tests {
         assert_eq!(back.solver_calls, away.solver_calls, "{back:?}");
         assert_eq!(back.steps_checked, away.steps_checked);
         assert_eq!(back.steps_reused - away.steps_reused, 3);
+    }
+
+    #[test]
+    fn a_computed_answer_looks_up_each_shared_question_once() {
+        let mut service = CaseService::new();
+        let case = service.open(two_branch_case());
+        service.answers(case).unwrap();
+        service
+            .apply(
+                case,
+                &EditOp::ReplaceFormula {
+                    node: "gb2".into(),
+                    formula: parse("z").unwrap(),
+                },
+            )
+            .unwrap();
+        let lookups = |service: &CaseService| {
+            let stats = service.session(case).unwrap().stats();
+            stats.solver_calls + stats.witness_hits
+        };
+        let before = lookups(&service);
+        assert_agrees(&mut service, case);
+        // One lint run asks each question once: 3 step questions, premise
+        // consistency, the conclusion's two polarities, the root
+        // entailment (no drop-probes: the edit breaks it), 6 circularity
+        // and 8 fallacy questions. With a step loop, a machine check and
+        // a second probe beside the lint run, this answer made 45.
+        assert_eq!(lookups(&service) - before, 21);
     }
 
     #[test]

@@ -2,10 +2,10 @@
 //! witness pool that answers each solver question once.
 
 use crate::ops::{CaseAnswers, EditError, EditOp};
-use casekit_analysis::{lint_argument, lint_compiled_with_pool, LintConfig};
+use casekit_analysis::{analyse_compiled, lint_argument, LintConfig};
 use casekit_core::semantics::{probe_argument, ArgumentTheory, PayloadCache};
 use casekit_core::{Argument, Edge, EdgeKind, FormalPayload, Node, NodeId};
-use casekit_fallacies::checker::{check_argument, check_compiled};
+use casekit_fallacies::checker::{check_argument, MachineReport};
 use casekit_logic::prop::{Formula, Theory, WitnessPool};
 
 /// Below this live payload cost, garbage never triggers a whole-theory
@@ -27,9 +27,11 @@ pub struct SessionStats {
     pub recompiles: u64,
     /// Whole-theory invalidations (garbage compaction fallback).
     pub full_rebuilds: u64,
-    /// Support-step verdicts that reached the CDCL core.
+    /// Support-step questions that reached the CDCL core. Each computed
+    /// [`CaseSession::answers`] looks up every step question once, in
+    /// CaseLint's CK106 pass, and counts it here or in `steps_reused`.
     pub steps_checked: u64,
-    /// Support-step verdicts the witness pool answered without it.
+    /// Support-step questions the witness pool answered without it.
     pub steps_reused: u64,
     /// Queries answered entirely from the cached answer bundle, such as
     /// the first `answers` after `open_source`.
@@ -38,6 +40,10 @@ pub struct SessionStats {
     /// [`CaseSession::answers`] asked (step verdicts, root entailment,
     /// lint passes, premise probe).
     pub solver_calls: u64,
+    /// Questions the session's witness pool answered from a stored model
+    /// or UNSAT set. `solver_calls + witness_hits` is every lookup the
+    /// session made.
+    pub witness_hits: u64,
 }
 
 /// A long-lived session over one case.
@@ -89,6 +95,7 @@ impl CaseSession {
     pub fn stats(&self) -> SessionStats {
         SessionStats {
             solver_calls: self.pool.solver_calls() as u64,
+            witness_hits: self.pool.witness_hits() as u64,
             ..self.stats
         }
     }
@@ -178,9 +185,10 @@ impl CaseSession {
     /// The batched answers for the current revision: machine check,
     /// lint stream, probe classification. Cached until the next edit.
     ///
-    /// Every solver question goes through the session's witness pool,
-    /// so a question asked twice — by two consumers in this revision, or
-    /// unchanged since an earlier one — reaches the CDCL core once.
+    /// One lint run ([`analyse_compiled`]) asks every question through
+    /// the session's witness pool, each once, and the machine report and
+    /// the probe are read off its verdicts; a question unchanged since an
+    /// earlier revision is answered by the pool, without the CDCL core.
     pub fn answers(&mut self) -> CaseAnswers {
         self.stats.queries += 1;
         if let Some(answers) = &self.answers {
@@ -192,28 +200,19 @@ impl CaseSession {
             .theory
             .as_mut()
             .expect("flush leaves a live compilation");
-        // Step verdicts first, so the counters see which ones reached
-        // the solver; the machine check and CK106 then ask the same
-        // questions and hit the pool.
-        for idx in theory.step_indices() {
-            let question = theory
-                .step_question(idx)
-                .expect("step_indices yields only checkable steps");
-            let calls = self.pool.solver_calls();
-            self.pool.check(theory.theory_mut(), &question);
-            if self.pool.solver_calls() > calls {
-                self.stats.steps_checked += 1;
-            } else {
-                self.stats.steps_reused += 1;
-            }
-        }
-        let machine = check_compiled(&self.argument, theory, &mut self.pool);
-        let lint = lint_compiled_with_pool(&self.argument, theory, &mut self.pool, &self.config);
-        let probe = theory.probe(&mut self.pool);
+        let analysis = analyse_compiled(&self.argument, theory, &mut self.pool, &self.config);
+        let solved = analysis.steps_solved as u64;
+        self.stats.steps_checked += solved;
+        self.stats.steps_reused += theory.step_count() as u64 - solved;
         let answers = CaseAnswers {
-            machine,
-            lint,
-            probe,
+            machine: MachineReport::from_verdicts(
+                &self.argument,
+                analysis.non_deductive,
+                analysis.entailed,
+                analysis.fallacies,
+            ),
+            lint: analysis.diagnostics,
+            probe: analysis.probe,
         };
         self.answers = Some(answers.clone());
         answers

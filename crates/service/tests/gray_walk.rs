@@ -149,7 +149,9 @@ fn every_variant_of_ten_toggles_answers_like_batch() {
             stats.cached_answers,
             stats.solver_calls
         ),
-        (18, 1006, 0, 202),
+        // 201 solver calls: the bundle's questions are first asked in
+        // CaseLint's pass order (202 while the machine check asked first).
+        (18, 1006, 0, 201),
         "{stats:?}"
     );
     assert_eq!(entailment.len(), 2, "root entailment never flipped");

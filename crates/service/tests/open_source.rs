@@ -6,6 +6,7 @@
 //! and the malformed fixtures.
 
 use casekit_analysis::{check_source, LintConfig};
+use casekit_fallacies::checker::check_argument;
 use casekit_service::{batch_answers, CaseService};
 use std::path::{Path, PathBuf};
 
@@ -35,7 +36,32 @@ fn open_source_returns_check_sources_diagnostics() {
     // recovers none.
     let mut sources = bundled_cases();
     sources.push(("no header".into(), "widget { }".into()));
-    for config in [LintConfig::new(), LintConfig::deny_all()] {
+    // The bundled cases are clean; this one has machine findings (a
+    // non-deductive step, the conclusion not entailed), so a machine
+    // report read off the diagnostics would differ under `allow_all`.
+    sources.push((
+        "machine findings".into(),
+        r#"argument "machine findings" {
+  goal g_top "Both channels are up" formal "a & b" {
+    strategy s_channels "Argue over the channels" {
+      goal g_a "Channel a is up" formal "a" {
+        solution e_a "Channel a test log"
+      }
+      goal g_c "Channel c is up" formal "c" {
+        solution e_c "Channel c test log"
+      }
+    }
+  }
+}
+"#
+        .into(),
+    ));
+    let mut findings = 0;
+    for config in [
+        LintConfig::new(),
+        LintConfig::deny_all(),
+        LintConfig::allow_all(),
+    ] {
         let mut service = CaseService::with_config(config.clone());
         for (path, src) in &sources {
             let checked = check_source(src, &config);
@@ -47,8 +73,17 @@ fn open_source_returns_check_sources_diagnostics() {
                 "{}",
                 path.display()
             );
+            // The machine report comes from the lint run's verdicts, not
+            // its diagnostics, so no lint level changes it.
+            if let Some(case) = case {
+                let machine = service.answers(case).unwrap().machine;
+                let argument = service.session(case).unwrap().argument();
+                assert_eq!(machine, check_argument(argument), "{}", path.display());
+                findings += machine.findings.len();
+            }
         }
     }
+    assert!(findings > 0, "no case had a machine finding");
 }
 
 #[test]
